@@ -26,8 +26,9 @@ use std::time::Instant;
 use bench::{header, smoke_mode};
 use lir::{parse_module, FaultPolicy, Interp, Machine, Module};
 use servolite::{BrowserConfig, DispatchOptions};
-use workloads::{dromaeo, octane, profile_for, run_benchmark_dispatch, Benchmark};
+use workloads::{dromaeo, octane, profile_for, run_benchmark_with, Benchmark};
 
+use pkru_provenance::json::{self, JsonWriter};
 use pkru_provenance::Profile;
 
 /// The memory-bound DOM trio (same hot set as `tlb_ablation`).
@@ -39,6 +40,7 @@ const OCTANE_PROPS: [&str; 4] = ["Splay", "Richards", "DeltaBlue", "RayTrace"];
 
 /// One ablation row: the workload under full fast paths, inline caches
 /// off, and everything legacy.
+#[derive(Debug)]
 struct Phase {
     name: &'static str,
     /// Higher-is-better score (1/seconds) per lane.
@@ -67,25 +69,19 @@ impl Phase {
         }
     }
 
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"phase\":\"{}\",\"score_full\":{:.3},\"score_noic\":{:.3},",
-                "\"score_legacy\":{:.3},\"speedup\":{:.3},\"ic_speedup\":{:.3},",
-                "\"ic_hits\":{},\"ic_misses\":{},\"ic_hit_rate\":{:.4},",
-                "\"fused_ops\":{}}}"
-            ),
-            self.name,
-            self.score_full,
-            self.score_noic,
-            self.score_legacy,
-            self.speedup(),
-            self.ic_speedup(),
-            self.ic_hits,
-            self.ic_misses,
-            self.ic_hit_rate(),
-            self.fused_ops,
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("phase", self.name)
+                .field("score_full", self.score_full)
+                .field("score_noic", self.score_noic)
+                .field("score_legacy", self.score_legacy)
+                .field("speedup", self.speedup())
+                .field("ic_speedup", self.ic_speedup())
+                .field("ic_hits", self.ic_hits)
+                .field("ic_misses", self.ic_misses)
+                .field("ic_hit_rate", self.ic_hit_rate())
+                .field("fused_ops", self.fused_ops);
+        });
     }
 }
 
@@ -167,15 +163,12 @@ fn suite_phase(name: &'static str, benchmarks: &[Benchmark], profile: &Profile) 
     let (mut s_full, mut s_noic, mut s_legacy) = (0.0, 0.0, 0.0);
     let (mut hits, mut misses, mut fused) = (0u64, 0u64, 0u64);
     for benchmark in benchmarks {
-        let (full_row, d) =
-            run_benchmark_dispatch(BrowserConfig::Mpk, Some(profile), benchmark, full)
-                .expect("full run");
-        let (noic_row, nd) =
-            run_benchmark_dispatch(BrowserConfig::Mpk, Some(profile), benchmark, noic)
-                .expect("no-ic run");
-        let (legacy_row, ld) =
-            run_benchmark_dispatch(BrowserConfig::Mpk, Some(profile), benchmark, legacy)
-                .expect("legacy run");
+        let run = |dispatch| {
+            run_benchmark_with(BrowserConfig::Mpk, Some(profile), benchmark, true, dispatch)
+        };
+        let (full_row, _, d) = run(full).expect("full run");
+        let (noic_row, _, nd) = run(noic).expect("no-ic run");
+        let (legacy_row, _, ld) = run(legacy).expect("legacy run");
         assert_eq!(
             full_row.checksum, legacy_row.checksum,
             "{}: the fast paths changed an observable result",
@@ -227,8 +220,12 @@ fn main() {
     ];
 
     if std::env::args().any(|a| a == "--json") {
-        let rows: Vec<String> = phases.iter().map(Phase::json).collect();
-        println!("{{\"phases\":[{}]}}", rows.join(","));
+        let report = json::render(|w| {
+            w.object(|w| {
+                w.key("phases").array(&phases, |w, p| p.write_json(w));
+            });
+        });
+        println!("{report}");
     } else {
         header(
             "Dispatch ablation (score: 1/seconds)",
@@ -252,8 +249,8 @@ fn main() {
     // properties; their working sets are monomorphic by design, so a low
     // hit rate means over-invalidation (an epoch protocol bug).
     for p in &phases[1..] {
-        assert!(p.ic_hit_rate() > 0.90, "{}: IC hit rate collapsed: {}", p.name, p.json());
-        assert!(p.fused_ops > 0, "{}: bulk superinstructions never fired: {}", p.name, p.json());
+        assert!(p.ic_hit_rate() > 0.90, "{}: IC hit rate collapsed: {p:?}", p.name);
+        assert!(p.fused_ops > 0, "{}: bulk superinstructions never fired: {p:?}", p.name);
     }
     // The headline claim: on a dispatch-bound instruction stream,
     // decode-once threading is worth at least 2x over per-instruction
@@ -261,18 +258,14 @@ fn main() {
     // CI hardware, so they gate a relaxed floor.
     let lir = &phases[0];
     let floor = if smoke { 1.4 } else { 2.0 };
-    assert!(
-        lir.speedup() >= floor,
-        "lir-dispatch speedup below the {floor}x floor: {}",
-        lir.json()
-    );
+    assert!(lir.speedup() >= floor, "lir-dispatch speedup below the {floor}x floor: {lir:?}");
     if !smoke {
         // The browser suites are gate- and vmem-bound (Amdahl), so the
         // dispatch fast paths buy little there and wall-clock noise can
         // eat what they do buy; the floor only rejects a real
         // regression, not run-to-run jitter.
         for p in &phases[1..] {
-            assert!(p.speedup() >= 0.7, "{}: fast paths regressed: {}", p.name, p.json());
+            assert!(p.speedup() >= 0.7, "{}: fast paths regressed: {p:?}", p.name);
         }
     }
 }

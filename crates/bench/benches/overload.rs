@@ -21,6 +21,7 @@
 //! `--test` shrinks the runs to a smoke pass.
 
 use bench::{header, smoke_mode};
+use pkru_provenance::json::{self, JsonWriter};
 use pkru_server::{serve, LatencySummary, ServeConfig, ServeReport, TrafficShape};
 
 struct Row {
@@ -50,21 +51,17 @@ impl Row {
         self.expired + self.rejected
     }
 
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"phase\":\"{}\",\"offered\":{},\"served\":{},\"expired\":{},",
-                "\"rejected\":{},\"shed\":{},\"throughput_rps\":{:.3},\"latency\":{}}}"
-            ),
-            self.phase,
-            self.offered,
-            self.served,
-            self.expired,
-            self.rejected,
-            self.shed(),
-            self.throughput_rps,
-            self.latency.as_ref().map_or_else(|| "null".into(), LatencySummary::to_json),
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("phase", self.phase)
+                .field("offered", self.offered)
+                .field("served", self.served)
+                .field("expired", self.expired)
+                .field("rejected", self.rejected)
+                .field("shed", self.shed())
+                .field("throughput_rps", self.throughput_rps);
+            w.key("latency").optional(self.latency, |w, latency| latency.write_json(w));
+        });
     }
 }
 
@@ -160,8 +157,13 @@ fn main() {
     ];
 
     if std::env::args().any(|a| a == "--json") {
-        let json: Vec<String> = rows.iter().map(Row::json).collect();
-        println!("{{\"pace_us\":{pace_us},\"rows\":[{}]}}", json.join(","));
+        let report = json::render(|w| {
+            w.object(|w| {
+                w.field("pace_us", pace_us);
+                w.key("rows").array(&rows, |w, r| r.write_json(w));
+            });
+        });
+        println!("{report}");
     } else {
         header(
             "Overload: shed/served curves and latency under 2x offered load",

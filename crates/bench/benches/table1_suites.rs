@@ -13,7 +13,7 @@ use workloads::{
 
 fn main() {
     let json = std::env::args().any(|a| a == "--json");
-    let mut json_reports: Vec<String> = Vec::new();
+    let mut json_reports = Vec::new();
     if !json {
         header(
             "Table 1: Servo mean benchmark overhead and statistics",
@@ -42,8 +42,8 @@ fn main() {
         workloads::runner::verify_checksums(&base, &alloc).expect("alloc determinism");
         workloads::runner::verify_checksums(&base, &mpk).expect("mpk determinism");
         if json {
-            for (label, report) in [("base", &base), ("alloc", &alloc), ("mpk", &mpk)] {
-                json_reports.push(report_json(&format!("{name}/{label}"), report));
+            for (label, report) in [("base", base), ("alloc", alloc), ("mpk", mpk)] {
+                json_reports.push((format!("{name}/{label}"), report));
             }
             continue;
         }
@@ -58,6 +58,6 @@ fn main() {
         );
     }
     if json {
-        println!("[{}]", json_reports.join(","));
+        println!("{}", report_json(&json_reports));
     }
 }

@@ -30,9 +30,9 @@ fn main() {
     let [base, alloc, mpk]: [ConfigReport; 3] = reports.try_into().expect("three reports");
 
     if std::env::args().any(|a| a == "--json") {
-        let reports = [("base", &base), ("alloc", &alloc), ("mpk", &mpk)]
-            .map(|(label, report)| report_json(&format!("dromaeo/{label}"), report));
-        println!("[{}]", reports.join(","));
+        let reports = [("base", base), ("alloc", alloc), ("mpk", mpk)]
+            .map(|(label, report)| (format!("dromaeo/{label}"), report));
+        println!("{}", report_json(&reports));
         return;
     }
 

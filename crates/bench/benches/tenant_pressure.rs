@@ -16,9 +16,11 @@
 //! (`BENCH_tenant.json`); `--test` shrinks the sweep to a smoke run.
 
 use bench::{header, smoke_mode};
+use pkru_provenance::json::{self, JsonWriter};
 use pkru_server::{serve, ServeConfig, VkeyPoolStats};
 
 /// One sweep point: a tenant count and everything the run reported.
+#[derive(Debug)]
 struct Row {
     tenants: usize,
     throughput_rps: f64,
@@ -31,26 +33,20 @@ impl Row {
         self.keys.hit_rate()
     }
 
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"tenants\":{},\"throughput_rps\":{:.3},\"binds\":{},",
-                "\"bind_hits\":{},\"bind_misses\":{},\"evictions\":{},",
-                "\"pages_retagged\":{},\"revocations\":{},\"deferred_reuses\":{},",
-                "\"bind_retries\":{},\"hit_rate\":{:.4}}}"
-            ),
-            self.tenants,
-            self.throughput_rps,
-            self.keys.binds,
-            self.keys.hits,
-            self.keys.misses,
-            self.keys.evictions,
-            self.keys.pages_retagged,
-            self.keys.revocations,
-            self.keys.deferred_reuses,
-            self.bind_retries,
-            self.hit_rate(),
-        )
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("tenants", self.tenants)
+                .field("throughput_rps", self.throughput_rps)
+                .field("binds", self.keys.binds)
+                .field("bind_hits", self.keys.hits)
+                .field("bind_misses", self.keys.misses)
+                .field("evictions", self.keys.evictions)
+                .field("pages_retagged", self.keys.pages_retagged)
+                .field("revocations", self.keys.revocations)
+                .field("deferred_reuses", self.keys.deferred_reuses)
+                .field("bind_retries", self.bind_retries)
+                .field("hit_rate", self.hit_rate());
+        });
     }
 }
 
@@ -95,8 +91,12 @@ fn main() {
         sweep.iter().map(|&tenants| sweep_point(tenants, requests, repeats)).collect();
 
     if std::env::args().any(|a| a == "--json") {
-        let json: Vec<String> = rows.iter().map(Row::json).collect();
-        println!("{{\"rows\":[{}]}}", json.join(","));
+        let report = json::render(|w| {
+            w.object(|w| {
+                w.key("rows").array(&rows, |w, r| r.write_json(w));
+            });
+        });
+        println!("{report}");
     } else {
         header(
             "Tenant pressure: key virtualization vs. tenant count",
@@ -117,11 +117,11 @@ fn main() {
     for r in &rows {
         // One bind per tenant-tagged request, plus one per recorded
         // retry (a retry is always paired with another pool bind call).
-        assert_eq!(r.keys.binds, requests + r.bind_retries, "{}", r.json());
-        assert_eq!(r.keys.binds, r.keys.hits + r.keys.misses, "{}", r.json());
+        assert_eq!(r.keys.binds, requests + r.bind_retries, "{r:?}");
+        assert_eq!(r.keys.binds, r.keys.hits + r.keys.misses, "{r:?}");
         // Every miss re-tags the tenant's pages park→key (and every
         // steal re-tags the victim key→park), so any miss shows up here.
-        assert!(r.keys.pages_retagged > 0, "misses must re-tag: {}", r.json());
+        assert!(r.keys.pages_retagged > 0, "misses must re-tag: {r:?}");
         if smoke {
             // A 16-request smoke stream does not touch every tenant, so
             // the pressure assertions below would be vacuous lies here.
@@ -130,11 +130,11 @@ fn main() {
         if r.tenants <= 8 {
             // Everyone fits the hardware: after each tenant's first bind
             // every later bind is a hit and nothing is ever stolen.
-            assert_eq!(r.keys.evictions, 0, "stole below the key budget: {}", r.json());
-            assert_eq!(r.keys.misses, r.tenants as u64, "{}", r.json());
+            assert_eq!(r.keys.evictions, 0, "stole below the key budget: {r:?}");
+            assert_eq!(r.keys.misses, r.tenants as u64, "{r:?}");
         } else {
             // Past the ≤ 15 usable hardware keys, binds must steal.
-            assert!(r.keys.evictions > 0, "no stealing above the key budget: {}", r.json());
+            assert!(r.keys.evictions > 0, "no stealing above the key budget: {r:?}");
         }
     }
 

@@ -14,20 +14,19 @@
 //! - `dromaeo`: the whole Dromaeo suite under `mpk` enforcement — the
 //!   honest end-to-end number, diluted by compute-bound kernels
 //!   (Amdahl: a crypto loop spends little of its time in `vmem`).
-//! - `serve`: the single-worker serving runtime over its mixed request
-//!   catalog.
 //!
-//! Checksums and fault counters are already cross-checked by the runner
-//! and the serve reference, so a speedup here cannot come from skipped
-//! work. `--json` emits one object per phase for CI (`BENCH_tlb.json`);
-//! `--test` shrinks the sweep to a smoke run.
+//! The serving runtime always runs with the TLB on; its hit rate is
+//! pinned by a test in `crates/server/tests/serve_tests.rs`.
+//!
+//! Checksums are already cross-checked by the runner, so a speedup here
+//! cannot come from skipped work. `--json` emits one object per phase for
+//! CI (`BENCH_tlb.json`); `--test` shrinks the sweep to a smoke run.
 
 use bench::{header, smoke_mode};
-use pkru_server::{serve, ServeConfig};
-use servolite::BrowserConfig;
-use workloads::{dromaeo, profile_for, run_benchmark_tlb, Benchmark};
-
+use pkru_provenance::json::{self, JsonWriter};
 use pkru_provenance::Profile;
+use servolite::{BrowserConfig, DispatchOptions};
+use workloads::{dromaeo, profile_for, run_benchmark_with, Benchmark};
 
 /// The memory-bound DOM benchmarks: their inner loops are per-byte
 /// machine memory traffic (attribute/markup string marshalling), not
@@ -35,10 +34,10 @@ use pkru_provenance::Profile;
 const DOM_HOT: [&str; 3] = ["dom-query", "innerHTML", "dom-reflow"];
 
 /// One ablation row: the workload timed with the TLB on and off.
+#[derive(Debug)]
 struct Phase {
     name: &'static str,
-    /// Higher-is-better score with the TLB enabled / disabled (rps for
-    /// `serve`, 1/seconds for the Dromaeo phases).
+    /// Higher-is-better score (1/seconds) with the TLB enabled / disabled.
     score_on: f64,
     score_off: f64,
     hits: u64,
@@ -59,58 +58,17 @@ impl Phase {
         }
     }
 
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"phase\":\"{}\",\"score_on\":{:.3},\"score_off\":{:.3},",
-                "\"speedup\":{:.3},\"tlb_hits\":{},\"tlb_misses\":{},",
-                "\"tlb_flushes\":{},\"hit_rate\":{:.4}}}"
-            ),
-            self.name,
-            self.score_on,
-            self.score_off,
-            self.speedup(),
-            self.hits,
-            self.misses,
-            self.flushes,
-            self.hit_rate(),
-        )
-    }
-}
-
-/// Best-of-k single-worker serve throughput with the TLB toggled.
-fn serve_phase(smoke: bool) -> Phase {
-    let requests = if smoke { 16 } else { 200 };
-    let repeats = if smoke { 1 } else { 3 };
-    let run = |tlb: bool| {
-        let mut best = None::<pkru_server::ServeReport>;
-        for _ in 0..repeats {
-            let report = serve(ServeConfig {
-                workers: 1,
-                requests,
-                queue_capacity: 32,
-                seed: 0x5eed,
-                tlb,
-                ..ServeConfig::default()
-            })
-            .expect("serve");
-            assert!(report.clean(), "tlb={tlb}: unclean run: {report:?}");
-            if best.as_ref().is_none_or(|b| report.throughput_rps > b.throughput_rps) {
-                best = Some(report);
-            }
-        }
-        best.expect("at least one repeat")
-    };
-    let on = run(true);
-    let off = run(false);
-    assert_eq!(off.tlb_hits + off.tlb_misses, 0, "a disabled TLB must stay cold: {off:?}");
-    Phase {
-        name: "serve",
-        score_on: on.throughput_rps,
-        score_off: off.throughput_rps,
-        hits: on.tlb_hits,
-        misses: on.tlb_misses,
-        flushes: on.tlb_flushes,
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("phase", self.name)
+                .field("score_on", self.score_on)
+                .field("score_off", self.score_off)
+                .field("speedup", self.speedup())
+                .field("tlb_hits", self.hits)
+                .field("tlb_misses", self.misses)
+                .field("tlb_flushes", self.flushes)
+                .field("hit_rate", self.hit_rate());
+        });
     }
 }
 
@@ -120,10 +78,17 @@ fn suite_phase(name: &'static str, benchmarks: &[Benchmark], profile: &Profile) 
     let (mut on_seconds, mut off_seconds) = (0.0, 0.0);
     let (mut hits, mut misses, mut flushes) = (0u64, 0u64, 0u64);
     for benchmark in benchmarks {
-        let (on_row, tlb) = run_benchmark_tlb(BrowserConfig::Mpk, Some(profile), benchmark, true)
-            .expect("tlb-on run");
-        let (off_row, _) = run_benchmark_tlb(BrowserConfig::Mpk, Some(profile), benchmark, false)
-            .expect("tlb-off run");
+        let run = |tlb| {
+            run_benchmark_with(
+                BrowserConfig::Mpk,
+                Some(profile),
+                benchmark,
+                tlb,
+                DispatchOptions::default(),
+            )
+        };
+        let (on_row, tlb, _) = run(true).expect("tlb-on run");
+        let (off_row, _, _) = run(false).expect("tlb-off run");
         assert_eq!(
             on_row.checksum, off_row.checksum,
             "{}: the TLB changed an observable result",
@@ -153,18 +118,19 @@ fn main() {
     }
     let profile = profile_for(&corpus).expect("profiling corpus");
 
-    let phases = [
-        suite_phase("dromaeo-dom-hot", &hot, &profile),
-        suite_phase("dromaeo", &suite, &profile),
-        serve_phase(smoke),
-    ];
+    let phases =
+        [suite_phase("dromaeo-dom-hot", &hot, &profile), suite_phase("dromaeo", &suite, &profile)];
 
     if std::env::args().any(|a| a == "--json") {
-        let rows: Vec<String> = phases.iter().map(Phase::json).collect();
-        println!("{{\"phases\":[{}]}}", rows.join(","));
+        let report = json::render(|w| {
+            w.object(|w| {
+                w.key("phases").array(&phases, |w, p| p.write_json(w));
+            });
+        });
+        println!("{report}");
     } else {
         header(
-            "Software-TLB ablation (score: serve=rps, dromaeo=1/seconds)",
+            "Software-TLB ablation (score: 1/seconds)",
             &["phase", "tlb on", "tlb off", "speedup", "hit rate", "flushes"],
         );
         for p in &phases {
@@ -183,12 +149,12 @@ fn main() {
     for p in &phases {
         // The working sets fit the cache by design; a low hit rate means
         // the epoch protocol is over-flushing, which is a bug, not noise.
-        assert!(p.hit_rate() > 0.90, "{}: hit rate collapsed: {}", p.name, p.json());
+        assert!(p.hit_rate() > 0.90, "{}: hit rate collapsed: {p:?}", p.name);
     }
     if !smoke {
         // The headline claim: on memory-bound DOM traffic, removing the
         // per-access lock + BTreeMap walk is worth at least 2x.
         let hot = &phases[0];
-        assert!(hot.speedup() >= 2.0, "dom-hot speedup below the 2x floor: {}", hot.json());
+        assert!(hot.speedup() >= 2.0, "dom-hot speedup below the 2x floor: {hot:?}");
     }
 }

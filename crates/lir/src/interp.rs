@@ -34,7 +34,7 @@ impl<'a> Interp<'a> {
     }
 
     /// Creates an interpreter pinned to the legacy match-per-instruction
-    /// loop (the `--no-threaded` ablation lane).
+    /// loop (the coherence oracle and the `dispatch_ablation` legacy lane).
     pub fn legacy(module: &'a Module, machine: &'a mut Machine) -> Interp<'a> {
         Interp::with_dispatch(module, machine, false)
     }

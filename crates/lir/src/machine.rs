@@ -180,9 +180,9 @@ pub struct Machine {
     /// threaded interpreter plus bulk page-run memory ops taken by
     /// [`Machine::mem_read_bytes`]/[`Machine::mem_write_bytes`].
     pub fused_ops: u64,
-    /// Whether bulk memory superinstructions are taken (the
-    /// `--no-threaded` ablation lane turns them off so the legacy lane
-    /// measures the true per-byte dispatch cost).
+    /// Whether bulk memory superinstructions are taken (the legacy lane
+    /// of the `dispatch_ablation` bench turns them off to measure the
+    /// true per-byte dispatch cost).
     fused: bool,
     /// The key protecting the trusted pool.
     trusted_pkey: Pkey,

@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use lir::Machine;
+use pkru_provenance::json::Scalar;
 
 use crate::error::EngineError;
 use crate::exec::{Ctx, Env};
@@ -185,9 +186,9 @@ impl Engine {
         &mut self.host_classes[id.0 as usize]
     }
 
-    /// Enables or disables the property inline caches (the `--no-ic`
-    /// ablation lane). Disabling leaves every site on the slow path;
-    /// re-enabling starts from an invalidated cache.
+    /// Enables or disables the property inline caches (the no-IC lane of
+    /// the `dispatch_ablation` bench). Disabling leaves every site on the
+    /// slow path; re-enabling starts from an invalidated cache.
     pub fn set_ic_enabled(&mut self, on: bool) {
         self.heap.ic_enabled = on;
         self.heap.bump_ic_epoch();
@@ -505,7 +506,7 @@ fn json_stringify(ctx: &mut Ctx, v: &Value, out: &mut String) -> Result<(), Engi
         }
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Null | Value::Undefined => out.push_str("null"),
-        Value::Str(s) => json_quote(s, out),
+        Value::Str(s) => Scalar::write_to(&**s, out),
         Value::Obj(h) => {
             if ctx.heap.kind(*h)? == crate::heap::ObjKind::Array {
                 out.push('[');
@@ -525,7 +526,7 @@ fn json_stringify(ctx: &mut Ctx, v: &Value, out: &mut String) -> Result<(), Engi
                     if i > 0 {
                         out.push(',');
                     }
-                    json_quote(name, out);
+                    Scalar::write_to(&**name, out);
                     out.push(':');
                     let e = ctx.heap.prop_get(ctx.machine, *h, name)?;
                     json_stringify(ctx, &e, out)?;
@@ -536,22 +537,6 @@ fn json_stringify(ctx: &mut Ctx, v: &Value, out: &mut String) -> Result<(), Engi
         Value::Fun(_) | Value::Native(_) | Value::HostRef { .. } => out.push_str("null"),
     }
     Ok(())
-}
-
-fn json_quote(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct JsonParser<'a> {

@@ -1,6 +1,7 @@
 //! The bounded audit log: one record per serviced violation.
 
 use pkru_mpk::AccessKind;
+use pkru_provenance::json::{self, JsonWriter};
 use pkru_provenance::AllocId;
 use pkru_vmem::VirtAddr;
 
@@ -34,32 +35,30 @@ pub struct AuditRecord {
 }
 
 impl AuditRecord {
+    /// Writes the record as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("worker", self.worker)
+                .field("seq", self.seq)
+                .field("addr", self.addr)
+                .field("pkey", self.pkey)
+                .field("pkru", self.pkru)
+                .field("access", self.access.to_string());
+            w.key("site").optional(self.site, |w, id| id.write_json(w));
+        });
+    }
+
     /// Serializes one record as a deterministic JSON object.
     pub fn to_json(&self) -> String {
-        let site = match self.site {
-            Some(id) => {
-                format!("{{\"func\":{},\"block\":{},\"site\":{}}}", id.func, id.block, id.site)
-            }
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"worker\":{},\"seq\":{},\"addr\":{},\"pkey\":{},\"pkru\":{},\"access\":\"{}\",\"site\":{}}}",
-            self.worker, self.seq, self.addr, self.pkey, self.pkru, self.access, site
-        )
+        json::render(|w| self.write_json(w))
     }
 }
 
 /// Serializes a slice of records as a deterministic JSON array.
 pub fn audit_log_json(records: &[AuditRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, record) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&record.to_json());
-    }
-    out.push(']');
-    out
+    json::render(|w| {
+        w.array(records, |w, record| record.write_json(w));
+    })
 }
 
 #[cfg(test)]

@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use crate::json::JsonWriter;
+
 /// A unique identifier for one allocator call site.
 ///
 /// The paper's LLVM pass assigns each call to the global allocator a tuple
@@ -23,6 +25,14 @@ impl AllocId {
     /// Creates an identifier from its three components.
     pub const fn new(func: u32, block: u32, site: u32) -> AllocId {
         AllocId { func, block, site }
+    }
+
+    /// Writes the `{"func":F,"block":B,"site":S}` object every report
+    /// and profile uses for a site.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("func", self.func).field("block", self.block).field("site", self.site);
+        });
     }
 }
 

@@ -98,27 +98,18 @@ impl Profile {
         self.faults_observed += other.faults_observed;
     }
 
-    /// Serializes to pretty JSON.
+    /// Serializes to JSON.
     ///
     /// The schema is shared by dynamic and static profiles:
-    /// `{"shared_sites": [{"func": F, "block": B, "site": S}, ...],
-    /// "faults_observed": N}`.
+    /// `{"shared_sites":[{"func":F,"block":B,"site":S},...],
+    /// "faults_observed":N}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"shared_sites\": [");
-        for (i, id) in self.shared_sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{ \"func\": {}, \"block\": {}, \"site\": {} }}",
-                id.func, id.block, id.site
-            ));
-        }
-        if !self.shared_sites.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!("],\n  \"faults_observed\": {}\n}}", self.faults_observed));
-        out
+        json::render(|w| {
+            w.object(|w| {
+                w.key("shared_sites").array(&self.shared_sites, |w, id| id.write_json(w));
+                w.field("faults_observed", self.faults_observed);
+            });
+        })
     }
 
     /// Parses a profile from JSON.

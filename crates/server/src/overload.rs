@@ -27,6 +27,8 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use pkru_provenance::json::JsonWriter;
+
 use crate::request::{Request, RequestKind};
 
 /// DRR quantum: the deficit a tenant earns per scheduler visit. Must be
@@ -258,8 +260,8 @@ impl FairScheduler {
 
 /// Latency percentiles over the served requests of one run (wall
 /// milliseconds from admission to completion). Recorded only when
-/// [`ServeConfig::record_latency`](crate::ServeConfig) is set, and
-/// rendered in the JSON only then — the default schema never carries it.
+/// [`ServeConfig::record_latency`](crate::ServeConfig) is set; the
+/// report's `latency` is `null` otherwise.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencySummary {
     /// Samples summarized.
@@ -298,20 +300,23 @@ impl LatencySummary {
         })
     }
 
-    /// The JSON object rendered into the serve report.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"count\":{},\"p50_ms\":{:.3},\"p90_ms\":{:.3},",
-                "\"p99_ms\":{:.3},\"p999_ms\":{:.3},\"max_ms\":{:.3}}}"
-            ),
-            self.count, self.p50_ms, self.p90_ms, self.p99_ms, self.p999_ms, self.max_ms
-        )
+    /// Writes the JSON object rendered into the serve report.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("count", self.count)
+                .field("p50_ms", self.p50_ms)
+                .field("p90_ms", self.p90_ms)
+                .field("p99_ms", self.p99_ms)
+                .field("p999_ms", self.p999_ms)
+                .field("max_ms", self.max_ms);
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use pkru_provenance::json;
+
     use super::*;
 
     fn script(id: u64, tenant: usize) -> Request {
@@ -407,8 +412,8 @@ mod tests {
         assert_eq!(s.p999_ms, 999.0);
         assert_eq!(s.max_ms, 1000.0);
         assert!(LatencySummary::from_samples(&mut Vec::new()).is_none());
-        let json = s.to_json();
-        assert!(json.contains("\"p50_ms\":500.000"), "{json}");
+        let json = json::render(|w| s.write_json(w));
+        assert!(json.contains("\"p50_ms\":500,"), "{json}");
     }
 
     #[test]

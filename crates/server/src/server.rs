@@ -26,10 +26,11 @@ use std::time::{Duration, Instant};
 use lir::SharedHost;
 use minijs::Value;
 use pkalloc::MAX_WORKERS;
-use pkru_handler::{audit_log_json, AuditRecord, MpkPolicy, ViolationHandler};
+use pkru_handler::{AuditRecord, MpkPolicy, ViolationHandler};
+use pkru_provenance::json::{self, JsonWriter};
 use pkru_provenance::{AllocId, Profile};
 use pkru_tenant::{TenantError, TenantRegistry, VkeyPoolStats};
-use servolite::{Browser, BrowserConfig, DispatchOptions};
+use servolite::{Browser, BrowserConfig};
 use workloads::suites::micro_page;
 
 use crate::fault::{FaultPlan, FaultState};
@@ -89,6 +90,10 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Pool shape, traffic volume, and the faults to inject (if any).
+///
+/// Every worker runs the interpreter's fast paths — the per-thread
+/// software TLB, threaded dispatch and inline caches. Their ablations
+/// live in the `tlb_ablation` and `dispatch_ablation` benches.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads.
@@ -99,44 +104,25 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Traffic seed.
     pub seed: u64,
-    /// Deterministic fault injections ([`FaultPlan::none`] for a clean
-    /// run — the default, and byte-identical in output to the plan-less
-    /// behaviour before fault injection existed).
+    /// Deterministic fault injections ([`FaultPlan::none`] — the default
+    /// — for a clean run).
     pub faults: FaultPlan,
     /// What happens when a worker's compartment boundary is violated
-    /// ([`MpkPolicy::Enforce`] — the default — is byte-identical in
-    /// behaviour and report JSON to the policy-less runtime before PR 4).
+    /// ([`MpkPolicy::Enforce`] by default: deny, and the run is dirty).
     pub mpk_policy: MpkPolicy,
     /// Extra shared sites merged into the catalog profile before workers
     /// start — typically sites absorbed from a previous run's audit log
     /// via [`Profile::absorb_audit`]. Not rendered in the report JSON.
     pub extra_profile: Option<Profile>,
-    /// Per-worker software TLBs over the shared space (on by default;
-    /// `false` is the ablation configuration the `tlb_ablation` bench
-    /// measures). Observable behaviour is identical either way.
-    pub tlb: bool,
-    /// Threaded (decode-once) dispatch plus fused bulk superinstructions
-    /// in every worker's interpreter (on by default; `false` is the
-    /// ablation lane the `dispatch_ablation` bench prices). Observable
-    /// behaviour is identical either way.
-    pub threaded: bool,
-    /// Shape-keyed, epoch-invalidated inline caches in every worker's
-    /// engine (on by default; `false` is the no-IC ablation lane).
-    /// Observable behaviour is identical either way — a cache hit still
-    /// performs the live PKRU-checked read.
-    pub ic: bool,
     /// Multi-tenant mode: the number of tenants to register (0 — the
-    /// default — serves the classic single-U stream and is byte-identical
-    /// in behaviour and report JSON to the pre-tenant runtime).
+    /// default — serves the classic single-U stream).
     pub tenants: usize,
     /// The per-tenant violation policy (every tenant of one run shares
     /// it; only consulted when `tenants > 0`).
     pub tenant_policy: MpkPolicy,
     /// Request deadline in logical ticks (completed requests): a queued
     /// request is shed as expired once `deadline_ticks` requests complete
-    /// after its admission. `0` — the default — disables deadlines and is
-    /// byte-identical in behaviour and report JSON to the pre-deadline
-    /// runtime.
+    /// after its admission. `0` — the default — disables deadlines.
     pub deadline_ticks: u64,
     /// Bounded-wait admission: how long the producer's push may stay
     /// blocked on a full queue before the request is rejected (counted)
@@ -155,16 +141,15 @@ pub struct ServeConfig {
     /// its request requeued (at most once), and the slot respawned
     /// through the normal restart budget.
     pub stall_timeout_ms: u64,
-    /// The traffic shape ([`TrafficShape::Uniform`] — the default — is
-    /// byte-identical to the pre-shape stream).
+    /// The traffic shape ([`TrafficShape::Uniform`] by default).
     pub traffic: TrafficShape,
     /// Producer pacing in microseconds per generated request (`0` — the
     /// default — is the original closed-loop producer). The overload
     /// bench uses this to offer a controlled multiple of measured
     /// capacity.
     pub pace_us: u64,
-    /// Record admission→completion latency percentiles (adds a `latency`
-    /// object to the report JSON; off by default).
+    /// Record admission→completion latency percentiles (the report's
+    /// `latency`; off by default).
     pub record_latency: bool,
 }
 
@@ -178,9 +163,6 @@ impl Default for ServeConfig {
             faults: FaultPlan::none(),
             mpk_policy: MpkPolicy::Enforce,
             extra_profile: None,
-            tlb: true,
-            threaded: true,
-            ic: true,
             tenants: 0,
             tenant_policy: MpkPolicy::Enforce,
             deadline_ticks: 0,
@@ -322,213 +304,96 @@ impl ServeReport {
             && self.errors == 0
     }
 
-    /// Machine-readable form (hand-rolled; the workspace has no serde).
-    ///
-    /// Under [`MpkPolicy::Enforce`] the policy and violation fields are
-    /// omitted entirely, and with `tenants == 0` the tenant fields are
-    /// too — keeping the schema byte-identical to the pre-policy,
-    /// pre-tenant runtime (the fault-free schema is pinned by test).
-    /// The dispatch counters appear only when a fast path was ablated
-    /// (`threaded` or `ic` off), so the default schema stays pinned.
+    /// Machine-readable form: one fixed schema whatever the config.
+    /// Sections for features a run did not use render zeroed, empty, or
+    /// `null` (an unset option, or latency that was not recorded).
     pub fn to_json(&self) -> String {
-        // All insertion slots are empty strings in the default config.
-        let (policy, violations) = if self.config.mpk_policy == MpkPolicy::Enforce {
-            (String::new(), String::new())
-        } else {
-            let flagged: Vec<String> = self
-                .flagged_sites
-                .iter()
-                .map(|id| {
-                    format!("{{\"func\":{},\"block\":{},\"site\":{}}}", id.func, id.block, id.site)
-                })
-                .collect();
-            (
-                format!("\"mpk_policy\":\"{}\",", self.config.mpk_policy),
-                format!(
-                    concat!(
-                        "\"violations_enforced\":{},\"violations_audited\":{},",
-                        "\"violations_quarantined\":{},\"flagged_sites\":[{}],",
-                        "\"audit_dropped\":{},\"audit_log\":{},"
-                    ),
-                    self.violations_enforced,
-                    self.violations_audited,
-                    self.violations_quarantined,
-                    flagged.join(","),
-                    self.audit_dropped,
-                    audit_log_json(&self.audit_log)
-                ),
-            )
-        };
-        let tenants = if self.config.tenants == 0 {
-            String::new()
-        } else {
-            let rows: Vec<String> = self
-                .per_tenant
-                .iter()
-                .map(|t| {
-                    // Fairness counters render only when fairness ran, so
-                    // plain tenant runs keep their pinned row schema.
-                    let fairness = match self.config.tenant_rate {
-                        Some(_) => {
-                            format!(
-                                "\"offered\":{},\"rate_limited\":{},",
-                                t.offered, t.rate_limited
-                            )
-                        }
-                        None => String::new(),
-                    };
-                    format!(
-                        concat!(
-                            "{{\"tenant\":{},\"requests\":{},\"rejected\":{},",
-                            "\"bind_retries\":{},{}",
-                            "\"violations_enforced\":{},\"violations_audited\":{},",
-                            "\"violations_quarantined\":{},\"quarantined\":{}}}"
-                        ),
-                        t.tenant,
-                        t.requests,
-                        t.rejected,
-                        t.bind_retries,
-                        fairness,
-                        t.violations_enforced,
-                        t.violations_audited,
-                        t.violations_quarantined,
-                        t.quarantined
-                    )
-                })
-                .collect();
-            let keys = self.tenant_key_stats.unwrap_or_default();
-            let rate = match self.config.tenant_rate {
-                Some(burst) => format!("\"tenant_rate\":{burst},"),
-                None => String::new(),
-            };
-            format!(
-                concat!(
-                    "\"tenants\":{},\"tenant_policy\":\"{}\",{}",
-                    "\"tenant_keys\":{{\"binds\":{},\"hits\":{},\"misses\":{},",
-                    "\"evictions\":{},\"pages_retagged\":{},",
-                    "\"revocations\":{},\"deferred_reuses\":{},\"deferred_keys\":{}}},",
-                    "\"per_tenant\":[{}],"
-                ),
-                self.config.tenants,
-                self.config.tenant_policy,
-                rate,
-                keys.binds,
-                keys.hits,
-                keys.misses,
-                keys.evictions,
-                keys.pages_retagged,
-                keys.revocations,
-                keys.deferred_reuses,
-                keys.deferred_keys,
-                rows.join(",")
-            )
-        };
-        let workers: Vec<String> = self
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    concat!(
-                        "{{\"worker\":{},\"requests\":{},\"page_loads\":{},",
-                        "\"scripts\":{},\"transitions\":{},\"pkey_faults\":{},\"errors\":{}}}"
-                    ),
-                    w.worker,
-                    w.requests,
-                    w.page_loads,
-                    w.scripts,
-                    w.transitions,
-                    w.pkey_faults,
-                    w.errors
-                )
-            })
-            .collect();
-        // Overload fields render only when their feature was active (or,
-        // for the watchdog, actually fired) — the default-config schema
-        // stays byte-identical to the pre-overload runtime.
-        let mut overload = String::new();
-        if self.config.deadline_ticks > 0 {
-            overload.push_str(&format!("\"deadline_ticks\":{},", self.config.deadline_ticks));
-        }
-        if let Some(wait) = self.config.admission_wait_ms {
-            overload.push_str(&format!("\"admission_wait_ms\":{wait},"));
-        }
-        if self.config.deadline_ticks > 0
-            || self.config.admission_wait_ms.is_some()
-            || self.config.tenant_rate.is_some()
-        {
-            overload.push_str(&format!(
-                "\"requests_expired\":{},\"requests_rejected\":{},",
-                self.requests_expired, self.requests_rejected
-            ));
-        }
-        if self.workers_stalled > 0 {
-            overload.push_str(&format!("\"workers_stalled\":{},", self.workers_stalled));
-        }
-        if let Some(latency) = &self.latency {
-            overload.push_str(&format!("\"latency\":{},", latency.to_json()));
-        }
-        // Dispatch counters only exist in ablation runs (a fast path
-        // turned off), keeping the default schema byte-identical to the
-        // pre-dispatch pins.
-        let dispatch = if self.config.threaded && self.config.ic {
-            String::new()
-        } else {
-            format!(
-                concat!(
-                    "\"dispatch_ic_hits\":{},\"dispatch_ic_misses\":{},",
-                    "\"superinstructions_fused\":{},"
-                ),
-                self.dispatch_ic_hits, self.dispatch_ic_misses, self.superinstructions_fused
-            )
-        };
-        // Same discipline for the queue's requeue counter: it only exists
-        // in runs where a crash-recovery requeue actually happened.
-        let requeued = if self.queue.requeued > 0 {
-            format!(",\"requeued\":{}", self.queue.requeued)
-        } else {
-            String::new()
-        };
-        format!(
-            concat!(
-                "{{\"workers\":{},\"requests\":{},\"queue_capacity\":{},\"seed\":{},{}",
-                "\"elapsed_seconds\":{:.6},\"throughput_rps\":{:.2},",
-                "\"queue\":{{\"enqueued\":{},\"max_depth\":{},\"backpressure_waits\":{}{}}},",
-                "\"requests_served\":{},\"transitions\":{},\"checksum_mismatches\":{},",
-                "\"unexpected_faults\":{},\"errors\":{},",
-                "\"workers_restarted\":{},\"requests_retried\":{},",
-                "\"requests_abandoned\":{},\"injected_faults\":{},{}",
-                "\"tlb_hits\":{},\"tlb_misses\":{},\"tlb_flushes\":{},{}",
-                "{}{}\"per_worker\":[{}]}}"
-            ),
-            self.config.workers,
-            self.config.requests,
-            self.config.queue_capacity,
-            self.config.seed,
-            policy,
-            self.elapsed_seconds,
-            self.throughput_rps,
-            self.queue.enqueued,
-            self.queue.max_depth,
-            self.queue.backpressure_waits,
-            requeued,
-            self.requests_served,
-            self.transitions,
-            self.checksum_mismatches,
-            self.unexpected_faults,
-            self.errors,
-            self.workers_restarted,
-            self.requests_retried,
-            self.requests_abandoned,
-            self.injected_faults,
-            overload,
-            self.tlb_hits,
-            self.tlb_misses,
-            self.tlb_flushes,
-            dispatch,
-            violations,
-            tenants,
-            workers.join(",")
-        )
+        json::render(|w| {
+            w.object(|w| self.write_fields(w));
+        })
+    }
+
+    fn write_fields(&self, w: &mut JsonWriter) {
+        let config = &self.config;
+        w.field("workers", config.workers)
+            .field("requests", config.requests)
+            .field("queue_capacity", config.queue_capacity)
+            .field("seed", config.seed)
+            .field("mpk_policy", config.mpk_policy.to_string())
+            .field("elapsed_seconds", self.elapsed_seconds)
+            .field("throughput_rps", self.throughput_rps);
+        w.key("queue").object(|w| {
+            w.field("enqueued", self.queue.enqueued)
+                .field("max_depth", self.queue.max_depth)
+                .field("backpressure_waits", self.queue.backpressure_waits)
+                .field("requeued", self.queue.requeued);
+        });
+        w.field("requests_served", self.requests_served)
+            .field("transitions", self.transitions)
+            .field("checksum_mismatches", self.checksum_mismatches)
+            .field("unexpected_faults", self.unexpected_faults)
+            .field("errors", self.errors)
+            .field("workers_restarted", self.workers_restarted)
+            .field("requests_retried", self.requests_retried)
+            .field("requests_abandoned", self.requests_abandoned)
+            .field("injected_faults", self.injected_faults)
+            .field("workers_stalled", self.workers_stalled)
+            .field("deadline_ticks", config.deadline_ticks)
+            .field("admission_wait_ms", config.admission_wait_ms)
+            .field("requests_expired", self.requests_expired)
+            .field("requests_rejected", self.requests_rejected);
+        w.key("latency").optional(self.latency, |w, latency| latency.write_json(w));
+        w.field("tlb_hits", self.tlb_hits)
+            .field("tlb_misses", self.tlb_misses)
+            .field("tlb_flushes", self.tlb_flushes)
+            .field("dispatch_ic_hits", self.dispatch_ic_hits)
+            .field("dispatch_ic_misses", self.dispatch_ic_misses)
+            .field("superinstructions_fused", self.superinstructions_fused)
+            .field("violations_enforced", self.violations_enforced)
+            .field("violations_audited", self.violations_audited)
+            .field("violations_quarantined", self.violations_quarantined);
+        w.key("flagged_sites").array(&self.flagged_sites, |w, id| id.write_json(w));
+        w.field("audit_dropped", self.audit_dropped);
+        w.key("audit_log").array(&self.audit_log, |w, record| record.write_json(w));
+        w.field("tenants", config.tenants)
+            .field("tenant_policy", config.tenant_policy.to_string())
+            .field("tenant_rate", config.tenant_rate);
+        let keys = self.tenant_key_stats.unwrap_or_default();
+        w.key("tenant_keys").object(|w| {
+            w.field("binds", keys.binds)
+                .field("hits", keys.hits)
+                .field("misses", keys.misses)
+                .field("evictions", keys.evictions)
+                .field("pages_retagged", keys.pages_retagged)
+                .field("revocations", keys.revocations)
+                .field("deferred_reuses", keys.deferred_reuses)
+                .field("deferred_keys", keys.deferred_keys);
+        });
+        w.key("per_tenant").array(&self.per_tenant, |w, t| {
+            w.object(|w| {
+                w.field("tenant", t.tenant)
+                    .field("requests", t.requests)
+                    .field("rejected", t.rejected)
+                    .field("bind_retries", t.bind_retries)
+                    .field("offered", t.offered)
+                    .field("rate_limited", t.rate_limited)
+                    .field("violations_enforced", t.violations_enforced)
+                    .field("violations_audited", t.violations_audited)
+                    .field("violations_quarantined", t.violations_quarantined)
+                    .field("quarantined", t.quarantined);
+            });
+        });
+        w.key("per_worker").array(&self.workers, |w, stats| {
+            w.object(|w| {
+                w.field("worker", stats.worker)
+                    .field("requests", stats.requests)
+                    .field("page_loads", stats.page_loads)
+                    .field("scripts", stats.scripts)
+                    .field("transitions", stats.transitions)
+                    .field("pkey_faults", stats.pkey_faults)
+                    .field("errors", stats.errors);
+            });
+        });
     }
 }
 
@@ -771,8 +636,8 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
     let faults = FaultState::new(&config.faults, config.workers);
     let cells: Vec<Arc<WorkerCell>> =
         (0..config.workers).map(|w| Arc::new(WorkerCell::new(w))).collect();
-    // Under `enforce` no handler exists at all: workers run the exact
-    // pre-policy code path, so behaviour and report stay byte-identical.
+    // Under `enforce` no handler exists at all: a violation denies the
+    // access and kills the request.
     let handlers: Option<Vec<Arc<ViolationHandler>>> = match config.mpk_policy {
         MpkPolicy::Enforce => None,
         policy => {
@@ -803,8 +668,6 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
             faults: &faults,
             registry,
             overload: &overload,
-            tlb: config.tlb,
-            dispatch: DispatchOptions { threaded: config.threaded, ic: config.ic },
             record_latency: config.record_latency,
         };
         let spawn_worker = |slot: usize, incarnation: u64| {

@@ -14,7 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use servolite::{Browser, BrowserConfig, DispatchOptions, DispatchStats};
+use servolite::{Browser, BrowserConfig, DispatchStats};
 use workloads::suites::micro_page;
 
 use lir::SharedHost;
@@ -247,11 +247,6 @@ pub struct PoolCtx<'a> {
     pub registry: Option<&'a TenantRegistry>,
     /// The logical clock and shed counters.
     pub overload: &'a OverloadState,
-    /// Whether workers run the per-thread software TLB.
-    pub tlb: bool,
-    /// The interpreter fast-path configuration every worker browser is
-    /// built with (threaded dispatch / inline caches).
-    pub dispatch: DispatchOptions,
     /// Whether to record admission→completion latency samples.
     pub record_latency: bool,
 }
@@ -290,7 +285,7 @@ pub fn run_worker(
     cell: &WorkerCell,
     handler: Option<&Arc<ViolationHandler>>,
 ) -> Result<(), ServeError> {
-    let PoolCtx { queue, host, profile, faults, registry, overload, tlb, dispatch, .. } = ctx;
+    let PoolCtx { queue, host, profile, faults, registry, overload, .. } = ctx;
     if let Some(handler) = handler {
         // A fresh incarnation starts with a clean quarantine breaker; the
         // per-site ledger and the audit log persist across respawns.
@@ -303,18 +298,13 @@ pub fn run_worker(
             report: None,
         });
     }
-    // The incarnation's per-thread TLB over the shared host space is
-    // configured at machine construction (disabled only in the ablation
-    // configuration), so even browser setup traffic goes the right way.
-    let mut browser = Browser::with_dispatch(
-        BrowserConfig::Mpk,
-        Some(profile),
-        Some(host),
-        handler.cloned(),
-        tlb,
-        dispatch,
-    )
-    .map_err(|e| ServeError::Worker {
+    let built = match handler {
+        Some(handler) => {
+            Browser::with_handler_on(BrowserConfig::Mpk, Some(profile), host, Arc::clone(handler))
+        }
+        None => Browser::with_profile_on(BrowserConfig::Mpk, Some(profile), host),
+    };
+    let mut browser = built.map_err(|e| ServeError::Worker {
         worker,
         message: format!("browser setup: {e}"),
         report: None,

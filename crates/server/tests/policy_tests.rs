@@ -43,7 +43,6 @@ fn audit_config() -> ServeConfig {
         faults: FaultPlan::none().with(Fault { worker: 0, kind: FaultKind::PkeyViolation, at: 4 }),
         mpk_policy: MpkPolicy::Audit,
         extra_profile: None,
-        tlb: true,
         ..ServeConfig::default()
     }
 }
@@ -152,9 +151,9 @@ fn quarantine_below_threshold_audits_and_continues() {
     assert_eq!(report.requests_served, 8);
 }
 
-/// Under the default `enforce`, a run with the same injection is
-/// byte-for-byte the pre-policy runtime: no policy key in the JSON, the
-/// defect in `unexpected_faults`, and `violations_enforced` mirroring it.
+/// Under the default `enforce`, a run with the same injection denies the
+/// access: the defect lands in `unexpected_faults`, `violations_enforced`
+/// mirrors it, and no audit log is kept.
 #[test]
 fn enforce_with_injection_matches_the_legacy_counters() {
     let config = ServeConfig { mpk_policy: MpkPolicy::Enforce, ..audit_config() };
@@ -163,13 +162,15 @@ fn enforce_with_injection_matches_the_legacy_counters() {
     assert_eq!(report.violations_enforced, 1);
     assert!(report.audit_log.is_empty(), "enforce keeps no audit log");
     let json = report.to_json();
-    assert!(!json.contains("mpk_policy"), "enforce must render the legacy schema: {json}");
-    assert!(!json.contains("violations_"), "enforce must render the legacy schema: {json}");
+    assert!(json.contains("\"mpk_policy\":\"enforce\""), "{json}");
+    assert!(json.contains("\"violations_enforced\":1,"), "{json}");
+    assert!(json.contains("\"audit_log\":[],"), "{json}");
 }
 
-/// Pins the audit-mode report schema byte for byte (hand-built, so
-/// wall-clock noise cannot perturb it). The fault-free enforce schema is
-/// pinned separately in `serve_tests`; this is its audit-mode twin.
+/// Pins an audit-mode report byte for byte (hand-built, so wall-clock
+/// noise cannot perturb it): the same schema as the default-config pin in
+/// `serve_tests`, with the policy, the violation counters and the audit
+/// record filled in.
 #[test]
 fn audit_json_schema_is_pinned() {
     let first = with_watchdog(180, || serve(audit_config())).expect("audit run");
@@ -226,17 +227,25 @@ fn audit_json_schema_is_pinned() {
         format!(
             concat!(
                 "{{\"workers\":1,\"requests\":8,\"queue_capacity\":4,\"seed\":2,",
-                "\"mpk_policy\":\"audit\",",
-                "\"elapsed_seconds\":0.500000,\"throughput_rps\":16.00,",
-                "\"queue\":{{\"enqueued\":8,\"max_depth\":4,\"backpressure_waits\":0}},",
+                "\"mpk_policy\":\"audit\",\"elapsed_seconds\":0.5,\"throughput_rps\":16,",
+                "\"queue\":{{\"enqueued\":8,\"max_depth\":4,\"backpressure_waits\":0,",
+                "\"requeued\":0}},",
                 "\"requests_served\":8,\"transitions\":20,\"checksum_mismatches\":0,",
                 "\"unexpected_faults\":0,\"errors\":0,",
                 "\"workers_restarted\":0,\"requests_retried\":0,",
-                "\"requests_abandoned\":0,\"injected_faults\":1,",
+                "\"requests_abandoned\":0,\"injected_faults\":1,\"workers_stalled\":0,",
+                "\"deadline_ticks\":0,\"admission_wait_ms\":null,",
+                "\"requests_expired\":0,\"requests_rejected\":0,\"latency\":null,",
                 "\"tlb_hits\":4200,\"tlb_misses\":12,\"tlb_flushes\":3,",
+                "\"dispatch_ic_hits\":0,\"dispatch_ic_misses\":0,",
+                "\"superinstructions_fused\":0,",
                 "\"violations_enforced\":0,\"violations_audited\":1,",
                 "\"violations_quarantined\":0,\"flagged_sites\":[],",
                 "\"audit_dropped\":0,\"audit_log\":[{}],",
+                "\"tenants\":0,\"tenant_policy\":\"enforce\",\"tenant_rate\":null,",
+                "\"tenant_keys\":{{\"binds\":0,\"hits\":0,\"misses\":0,\"evictions\":0,",
+                "\"pages_retagged\":0,\"revocations\":0,\"deferred_reuses\":0,",
+                "\"deferred_keys\":0}},\"per_tenant\":[],",
                 "\"per_worker\":[{{\"worker\":0,\"requests\":8,\"page_loads\":4,",
                 "\"scripts\":4,\"transitions\":20,\"pkey_faults\":0,\"errors\":0}}]}}"
             ),

@@ -1,72 +1,43 @@
 //! Machine-readable output for the benchmark runner.
 //!
-//! Tables are for eyeballs; CI and plotting scripts want stable JSON. The
-//! workspace deliberately has no serde, so this module hand-renders the
-//! small fixed schema: one object per configuration with one row per
-//! benchmark, carrying everything a downstream consumer needs to recompute
-//! overheads (seconds, iterations, ns/iter) and verify determinism
-//! (checksums).
+//! Tables are for eyeballs; CI and plotting scripts want stable JSON: one
+//! object per configuration with one row per benchmark, carrying
+//! everything a downstream consumer needs to recompute overheads (seconds,
+//! iterations, ns/iter) and verify determinism (checksums).
+
+use pkru_provenance::json::{self, JsonWriter};
 
 use crate::runner::{ConfigReport, RunResult};
 
-/// Escapes a string for a JSON literal (names are identifiers today, but
-/// the escape keeps the output valid whatever the suites grow into).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a finite float; JSON has no NaN/Inf, so those become `null`.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-fn row_json(row: &RunResult) -> String {
+fn write_row(w: &mut JsonWriter, row: &RunResult) {
     let ns_per_iter =
         if row.iterations > 0 { row.seconds * 1e9 / f64::from(row.iterations) } else { 0.0 };
-    format!(
-        concat!(
-            "{{\"suite\":\"{}\",\"sub\":\"{}\",\"name\":\"{}\",",
-            "\"seconds\":{},\"iterations\":{},\"ns_per_iter\":{},",
-            "\"transitions\":{},\"percent_mu\":{},\"checksum\":{}}}"
-        ),
-        escape(row.suite),
-        escape(row.sub),
-        escape(row.name),
-        num(row.seconds),
-        row.iterations,
-        num(ns_per_iter),
-        row.transitions,
-        num(row.percent_mu),
-        num(row.checksum),
-    )
+    w.object(|w| {
+        w.field("suite", row.suite)
+            .field("sub", row.sub)
+            .field("name", row.name)
+            .field("seconds", row.seconds)
+            .field("iterations", row.iterations)
+            .field("ns_per_iter", ns_per_iter)
+            .field("transitions", row.transitions)
+            .field("percent_mu", row.percent_mu)
+            .field("checksum", row.checksum);
+    });
 }
 
-/// Renders one configuration's report as a JSON object.
-pub fn report_json(config_label: &str, report: &ConfigReport) -> String {
-    let rows: Vec<String> = report.rows.iter().map(row_json).collect();
-    format!(
-        concat!(
-            "{{\"config\":\"{}\",\"rows\":[{}],",
-            "\"total_transitions\":{},\"mean_percent_mu\":{}}}"
-        ),
-        escape(config_label),
-        rows.join(","),
-        report.total_transitions(),
-        num(report.mean_percent_mu()),
-    )
+/// Renders labelled configuration reports as a JSON array, one object
+/// per configuration.
+pub fn report_json(reports: &[(String, ConfigReport)]) -> String {
+    json::render(|w| {
+        w.array(reports, |w, (label, report)| {
+            w.object(|w| {
+                w.field("config", label);
+                w.key("rows").array(&report.rows, write_row);
+                w.field("total_transitions", report.total_transitions())
+                    .field("mean_percent_mu", report.mean_percent_mu());
+            });
+        });
+    })
 }
 
 #[cfg(test)]
@@ -89,8 +60,8 @@ mod tests {
     #[test]
     fn renders_rows_and_derived_rate() {
         let report = ConfigReport { rows: vec![row()] };
-        let json = report_json("mpk", &report);
-        assert!(json.contains("\"config\":\"mpk\""));
+        let json = report_json(&[("mpk".into(), report)]);
+        assert!(json.starts_with("[{\"config\":\"mpk\",\"rows\":[{"), "{json}");
         assert!(json.contains("\"name\":\"fft\""));
         assert!(json.contains("\"iterations\":10"));
         assert!(json.contains("\"ns_per_iter\":50000000"));
@@ -99,9 +70,8 @@ mod tests {
     }
 
     #[test]
-    fn escapes_and_nulls() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(1.5), "1.5");
+    fn non_finite_measurements_render_as_null() {
+        let report = ConfigReport { rows: vec![RunResult { checksum: f64::NAN, ..row() }] };
+        assert!(report_json(&[("base".into(), report)]).contains("\"checksum\":null"));
     }
 }

@@ -28,8 +28,8 @@ pub mod suites;
 
 pub use json::report_json;
 pub use runner::{
-    profile_for, run_benchmark, run_benchmark_dispatch, run_benchmark_tlb, run_config, run_matrix,
-    ConfigReport, RunResult, SuiteSummary, WorkloadError,
+    profile_for, run_benchmark, run_benchmark_with, run_config, run_matrix, ConfigReport,
+    RunResult, SuiteSummary, WorkloadError,
 };
 pub use suites::{dromaeo, jetstream2, kraken, micro_page, octane};
 

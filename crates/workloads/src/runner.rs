@@ -136,23 +136,26 @@ pub fn run_benchmark(
     profile: Option<&Profile>,
     benchmark: &Benchmark,
 ) -> Result<RunResult, WorkloadError> {
-    run_benchmark_tlb(config, profile, benchmark, true).map(|(row, _)| row)
+    run_benchmark_with(config, profile, benchmark, true, DispatchOptions::default())
+        .map(|(row, _, _)| row)
 }
 
-/// [`run_benchmark`] with an explicit software-TLB toggle, additionally
-/// returning the machine's TLB counters for the whole browser session.
+/// [`run_benchmark`] with the fast paths set explicitly — the software
+/// TLB, and the dispatch options — additionally returning the TLB and
+/// dispatch counters for the whole browser session.
 ///
-/// The toggle exists for the `tlb_ablation` bench: the two flavors run
-/// the identical benchmark with the per-thread translation cache enabled
-/// or bypassed, and the checksum equality the runner already enforces
-/// doubles as a coherence check on the real workload.
-pub fn run_benchmark_tlb(
+/// The knobs exist for the `tlb_ablation` and `dispatch_ablation`
+/// benches: their lanes run the identical benchmark with a fast path on
+/// or off, and the checksum equality the runner already enforces doubles
+/// as a coherence check on the real workload.
+pub fn run_benchmark_with(
     config: BrowserConfig,
     profile: Option<&Profile>,
     benchmark: &Benchmark,
     tlb: bool,
-) -> Result<(RunResult, TlbStats), WorkloadError> {
-    let mut browser = Browser::with_tlb(config, profile, None, None, tlb)
+    dispatch: DispatchOptions,
+) -> Result<(RunResult, TlbStats, DispatchStats), WorkloadError> {
+    let mut browser = Browser::with_dispatch(config, profile, None, None, tlb, dispatch)
         .map_err(|e| browser_err(benchmark, e))?;
     browser.load_html(micro_page()).map_err(|e| browser_err(benchmark, e))?;
     browser.eval_script(&benchmark.source).map_err(|e| browser_err(benchmark, e))?;
@@ -164,9 +167,7 @@ pub fn run_benchmark_tlb(
     const REPEATS: u32 = 3;
     let mut checksum = 0.0;
     let mut seconds = f64::INFINITY;
-    let mut block_transitions = 0;
     for _ in 0..REPEATS {
-        let transitions_before = browser.machine.gates.transitions();
         let start = Instant::now();
         for _ in 0..benchmark.iterations {
             let v = browser.call_script("run", &[]).map_err(|e| browser_err(benchmark, e))?;
@@ -176,76 +177,20 @@ pub fn run_benchmark_tlb(
             };
         }
         seconds = seconds.min(start.elapsed().as_secs_f64());
-        block_transitions = browser.machine.gates.transitions() - transitions_before;
     }
     let stats = browser.stats();
     browser.machine.fold_tlb_stats();
-    let tlb_stats = browser.machine.space.stats().tlb;
-    let _ = block_transitions;
-    Ok((
-        RunResult {
-            name: benchmark.name,
-            suite: benchmark.suite,
-            sub: benchmark.sub,
-            seconds,
-            iterations: benchmark.iterations,
-            transitions: stats.transitions,
-            percent_mu: stats.percent_untrusted(),
-            checksum,
-        },
-        tlb_stats,
-    ))
-}
-
-/// [`run_benchmark`] with explicit dispatch fast-path knobs, additionally
-/// returning the dispatch counters for the whole browser session.
-///
-/// The knobs exist for the `dispatch_ablation` bench: the lanes run the
-/// identical benchmark with inline caches and fused superinstructions on
-/// or off, and the checksum equality the runner already enforces doubles
-/// as a coherence check on the real workload.
-pub fn run_benchmark_dispatch(
-    config: BrowserConfig,
-    profile: Option<&Profile>,
-    benchmark: &Benchmark,
-    dispatch: DispatchOptions,
-) -> Result<(RunResult, DispatchStats), WorkloadError> {
-    let mut browser = Browser::with_dispatch(config, profile, None, None, true, dispatch)
-        .map_err(|e| browser_err(benchmark, e))?;
-    browser.load_html(micro_page()).map_err(|e| browser_err(benchmark, e))?;
-    browser.eval_script(&benchmark.source).map_err(|e| browser_err(benchmark, e))?;
-    browser.call_script("run", &[]).map_err(|e| browser_err(benchmark, e))?;
-
-    browser.machine.gates.reset_transitions();
-    const REPEATS: u32 = 3;
-    let mut checksum = 0.0;
-    let mut seconds = f64::INFINITY;
-    for _ in 0..REPEATS {
-        let start = Instant::now();
-        for _ in 0..benchmark.iterations {
-            let v = browser.call_script("run", &[]).map_err(|e| browser_err(benchmark, e))?;
-            checksum = match v {
-                Value::Num(n) => n,
-                _ => return Err(WorkloadError::BadChecksum(benchmark.name.to_string())),
-            };
-        }
-        seconds = seconds.min(start.elapsed().as_secs_f64());
-    }
-    let stats = browser.stats();
-    let dispatch_stats = browser.dispatch_stats();
-    Ok((
-        RunResult {
-            name: benchmark.name,
-            suite: benchmark.suite,
-            sub: benchmark.sub,
-            seconds,
-            iterations: benchmark.iterations,
-            transitions: stats.transitions,
-            percent_mu: stats.percent_untrusted(),
-            checksum,
-        },
-        dispatch_stats,
-    ))
+    let row = RunResult {
+        name: benchmark.name,
+        suite: benchmark.suite,
+        sub: benchmark.sub,
+        seconds,
+        iterations: benchmark.iterations,
+        transitions: stats.transitions,
+        percent_mu: stats.percent_untrusted(),
+        checksum,
+    };
+    Ok((row, browser.machine.space.stats().tlb, browser.dispatch_stats()))
 }
 
 /// Records the profiling corpus for a benchmark list: each benchmark runs

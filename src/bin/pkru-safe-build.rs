@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lir::{parse_module, verify_module, Module};
-use pkru_provenance::Profile;
+use pkru_provenance::{json, Profile};
 use pkru_safe::{run_profiling, Annotations, Pipeline, ProfileInput};
 use pkru_server::{serve, Fault, MpkPolicy, ServeConfig, ServeError, TrafficShape};
 
@@ -88,15 +88,6 @@ serve options:
                                         worker down and flag the site
   --profile <file>       extra profile merged before serving (typically
                          sites absorbed from a previous run's audit log)
-  --no-tlb               disable the per-worker software TLB (ablation;
-                         behaviour is identical, throughput is not)
-  --no-threaded          disable threaded dispatch and fused bulk
-                         superinstructions in worker interpreters
-                         (ablation; behaviour is identical; adds the
-                         dispatch counters to the JSON report)
-  --no-ic                disable the engines' shape-keyed inline caches
-                         (ablation; behaviour is identical; adds the
-                         dispatch counters to the JSON report)
   --tenants <n>          multi-tenant mode: serve a tenant-tagged request
                          mix across n isolated compartments, virtual keys
                          multiplexed onto the hardware key space (default
@@ -236,9 +227,6 @@ fn serve_main<I: Iterator<Item = String>>(mut argv: I) -> Result<(), String> {
                 let path = PathBuf::from(argv.next().ok_or("--profile needs a file")?);
                 config.extra_profile = Some(Profile::load(&path).map_err(|e| e.to_string())?);
             }
-            "--no-tlb" => config.tlb = false,
-            "--no-threaded" => config.threaded = false,
-            "--no-ic" => config.ic = false,
             "--tenants" => config.tenants = parse_num("--tenants", argv.next())? as usize,
             "--tenant-policy" => {
                 let spec =
@@ -621,20 +609,26 @@ fn redteam_main<I: Iterator<Item = String>>(mut argv: I) -> Result<(), String> {
         if layer == "uncaught" && !json {
             eprintln!("UNCAUGHT {} (seed {}):\n{}", attack.kind.label(), attack.seed, attack.text);
         }
-        rows.push(format!(
-            "{{\"kind\":\"{}\",\"seed\":{},\"caught\":\"{layer}\",\"detail\":\"{}\"}}",
-            attack.kind.label(),
-            attack.seed,
-            json_escape(&detail)
-        ));
+        rows.push((attack.kind.label(), attack.seed, layer, detail));
     }
     if json {
-        println!(
-            "{{\"samples\":{samples},\"caught_static\":{caught_static},\
-             \"caught_dynamic\":{caught_dynamic},\"uncaught\":{uncaught},\
-             \"results\":[{}]}}",
-            rows.join(",")
-        );
+        let report = json::render(|w| {
+            w.object(|w| {
+                w.field("samples", samples)
+                    .field("caught_static", caught_static)
+                    .field("caught_dynamic", caught_dynamic)
+                    .field("uncaught", uncaught);
+                w.key("results").array(&rows, |w, (kind, seed, layer, detail)| {
+                    w.object(|w| {
+                        w.field("kind", kind)
+                            .field("seed", seed)
+                            .field("caught", layer)
+                            .field("detail", detail);
+                    });
+                });
+            });
+        });
+        println!("{report}");
     } else {
         println!(
             "red team: {samples} attack(s): {caught_static} caught statically, \
@@ -651,37 +645,22 @@ fn redteam_main<I: Iterator<Item = String>>(mut argv: I) -> Result<(), String> {
 /// The `scan --json` report: one object per finding, with the reachability
 /// witness as an array of function names (untrusted entry first).
 fn scan_report_json(findings: &[pkru_analysis::ScanFinding]) -> String {
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let witness: Vec<String> =
-            f.witness.iter().map(|w| format!("\"{}\"", json_escape(w))).collect();
-        out.push_str(&format!(
-            "{{\"code\":\"{}\",\"func\":\"{}\",\"block\":{},\"index\":{},\
-             \"witness\":[{}],\"message\":\"{}\"}}",
-            f.kind.code(),
-            json_escape(&f.func),
-            f.block,
-            f.index,
-            witness.join(","),
-            json_escape(&f.to_string())
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
+    json::render(|w| {
+        w.object(|w| {
+            w.key("findings").array(findings, |w, f| {
+                w.object(|w| {
+                    w.field("code", f.kind.code())
+                        .field("func", &f.func)
+                        .field("block", f.block)
+                        .field("index", f.index);
+                    w.key("witness").array(&f.witness, |w, name| {
+                        w.value(name);
+                    });
+                    w.field("message", f.to_string());
+                });
+            });
+        });
+    })
 }
 
 /// Structural verification plus the def-before-use dataflow check.

@@ -305,51 +305,104 @@ fn serve_json_emits_machine_readable_report() {
     }
 }
 
+/// The object keys at the top level of a JSON document, in order.
+fn top_level_keys(json: &str) -> Vec<String> {
+    let (mut keys, mut last_string, mut current) = (Vec::new(), None, String::new());
+    let (mut depth, mut in_string, mut escaped) = (0, false, false);
+    for c in json.chars() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => {
+                    in_string = false;
+                    last_string = Some(std::mem::take(&mut current));
+                }
+                c => current.push(c),
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => depth += 1,
+            '}' | ']' => depth -= 1,
+            ':' if depth == 1 => keys.extend(last_string.take()),
+            _ => {}
+        }
+    }
+    keys
+}
+
+/// A numeric field of a JSON report (the first occurrence of the key).
+fn field(json: &str, name: &str) -> u64 {
+    json.split(&format!("\"{name}\":"))
+        .nth(1)
+        .and_then(|s| s.split([',', '}']).next())
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("missing {name} in {json}"))
+}
+
 #[test]
-fn serve_dispatch_ablation_flags_gate_the_report_schema() {
-    // The default run must not grow the pinned report schema: the
-    // dispatch counters appear only when a fast path is ablated.
+fn serve_report_schema_is_fixed_across_flags() {
+    // One schema: a flag-free run and a run that turns on the audit
+    // policy, tenants, deadlines and latency emit the same top-level keys
+    // in the same order; unused sections render zeroed, empty or null.
     let base = ["serve", "--workers", "1", "--requests", "8", "--seed", "9", "--json"];
     let out = cli().args(base).output().expect("run");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for key in ["dispatch_ic_hits", "dispatch_ic_misses", "superinstructions_fused"] {
-        assert!(!stdout.contains(key), "default schema grew a {key} field: {stdout}");
-    }
-
-    // --no-threaded: still clean and checksum-identical, no fused ops,
-    // but the inline caches keep serving hits.
-    let out = cli().args(base).arg("--no-threaded").output().expect("run");
+    let plain = String::from_utf8_lossy(&out.stdout).into_owned();
+    let flags = ["--mpk-policy", "audit", "--tenants", "4", "--deadline-ticks", "50", "--latency"];
+    let out = cli().args(base).args(flags).output().expect("run");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for key in
-        ["\"requests_served\":8", "\"checksum_mismatches\":0", "\"superinstructions_fused\":0"]
-    {
-        assert!(stdout.contains(key), "missing {key} in {stdout}");
-    }
-    let hits: u64 = stdout
-        .split("\"dispatch_ic_hits\":")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .and_then(|s| s.parse().ok())
-        .expect("dispatch_ic_hits field");
-    assert!(hits > 0, "legacy-dispatch lane must still serve IC hits: {stdout}");
+    let flagged = String::from_utf8_lossy(&out.stdout).into_owned();
 
-    // --no-ic: still clean, no cache traffic at all, but the threaded
-    // lane keeps fusing bulk superinstructions.
-    let out = cli().args(base).arg("--no-ic").output().expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for key in ["\"requests_served\":8", "\"dispatch_ic_hits\":0", "\"dispatch_ic_misses\":0"] {
-        assert!(stdout.contains(key), "missing {key} in {stdout}");
+    let keys = top_level_keys(&plain);
+    assert_eq!(keys, top_level_keys(&flagged), "{plain}\n{flagged}");
+    for key in ["mpk_policy", "requests_expired", "latency", "tenant_keys", "per_worker"] {
+        assert!(keys.iter().any(|k| k == key), "missing {key} in {plain}");
     }
-    let fused: u64 = stdout
-        .split("\"superinstructions_fused\":")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .and_then(|s| s.parse().ok())
-        .expect("superinstructions_fused field");
-    assert!(fused > 0, "no-IC lane must still fuse bulk ops: {stdout}");
+    for key in ["\"latency\":null", "\"tenants\":0", "\"per_tenant\":[]", "\"tenant_rate\":null"] {
+        assert!(plain.contains(key), "missing {key} in {plain}");
+    }
+    for key in ["\"mpk_policy\":\"audit\"", "\"tenants\":4", "\"latency\":{\"count\":8"] {
+        assert!(flagged.contains(key), "missing {key} in {flagged}");
+    }
+    assert_eq!(field(&flagged, "deadline_ticks"), 50, "{flagged}");
+
+    // The default run exercises both interpreter fast paths.
+    assert!(field(&plain, "dispatch_ic_hits") > 0, "{plain}");
+    assert!(field(&plain, "superinstructions_fused") > 0, "{plain}");
+}
+
+#[test]
+fn serve_without_overload_flags_keeps_the_report_schema_unchanged() {
+    // A flag-free serve renders the same keys as one with the overload
+    // flags on; the overload fields carry their unset values.
+    let base = ["serve", "--workers", "2", "--requests", "24", "--seed", "3", "--json"];
+    let out = cli().args(base).output().expect("run");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let plain = String::from_utf8_lossy(&out.stdout).into_owned();
+    let flags = ["--deadline-ticks", "1000", "--admission", "100", "--latency"];
+    let out = cli().args(base).args(flags).output().expect("run");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let flagged = String::from_utf8_lossy(&out.stdout).into_owned();
+
+    assert_eq!(top_level_keys(&plain), top_level_keys(&flagged), "{plain}\n{flagged}");
+    for unset in [
+        "\"deadline_ticks\":0",
+        "\"admission_wait_ms\":null",
+        "\"tenant_rate\":null",
+        "\"requests_expired\":0",
+        "\"requests_rejected\":0",
+        "\"workers_stalled\":0",
+        "\"latency\":null",
+        "\"requeued\":0",
+    ] {
+        assert!(plain.contains(unset), "missing {unset} in {plain}");
+    }
+    for set in ["\"deadline_ticks\":1000", "\"admission_wait_ms\":100", "\"latency\":{\"count\":"] {
+        assert!(flagged.contains(set), "missing {set} in {flagged}");
+    }
 }
 
 #[test]
@@ -378,12 +431,7 @@ fn serve_tenants_reports_per_tenant_breakdown() {
     }
     // One bind per request plus one per recorded retry: barrier stalls
     // cost retries, never unaccounted binds.
-    let binds: u64 = stdout
-        .split("\"tenant_keys\":{\"binds\":")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .and_then(|s| s.parse().ok())
-        .expect("binds field");
+    let binds = field(&stdout, "binds");
     let retries: u64 = stdout
         .split("\"bind_retries\":")
         .skip(1)
@@ -600,22 +648,10 @@ fn serve_overload_flags_shed_and_expose_the_new_counters() {
         assert!(stdout.contains(key), "missing {key} in {stdout}");
     }
     // The extended accounting invariant, via the JSON the user sees.
-    let field = |name: &str| -> u64 {
-        stdout
-            .split(&format!("\"{name}\":"))
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next())
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| panic!("missing {name} in {stdout}"))
-    };
-    assert_eq!(
-        field("requests_served")
-            + field("requests_abandoned")
-            + field("requests_expired")
-            + field("requests_rejected"),
-        48,
-        "{stdout}"
-    );
+    let disposed =
+        ["requests_served", "requests_abandoned", "requests_expired", "requests_rejected"]
+            .map(|name| field(&stdout, name));
+    assert_eq!(disposed.iter().sum::<u64>(), 48, "{stdout}");
 }
 
 #[test]
@@ -639,29 +675,4 @@ fn serve_stall_fault_is_survived_by_the_watchdog() {
     assert!(stdout.contains("served 10 request(s)"), "{stdout}");
     assert!(stdout.contains("watchdog: 1 stall(s) condemned (deadline 400 ms)"), "{stdout}");
     assert!(stdout.contains("1 restart(s), 1 retried"), "{stdout}");
-}
-
-#[test]
-fn serve_without_overload_flags_keeps_the_report_schema_unchanged() {
-    // The compatibility pin, end to end through the CLI: a flag-free
-    // serve must not leak any of the overload-era keys into its JSON.
-    let out = cli()
-        .args(["serve", "--workers", "2", "--requests", "24", "--seed", "3", "--json"])
-        .output()
-        .expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for absent in [
-        "deadline_ticks",
-        "admission_wait_ms",
-        "tenant_rate",
-        "requests_expired",
-        "requests_rejected",
-        "workers_stalled",
-        "latency",
-        "requeued",
-        "rate_limited",
-    ] {
-        assert!(!stdout.contains(absent), "overload key {absent} leaked into {stdout}");
-    }
 }
