@@ -353,32 +353,6 @@ impl Gates {
     pub fn exit_trusted(&mut self, cpu: &mut Cpu) -> Result<(), GateError> {
         self.restore(cpu)
     }
-
-    /// Runs `f` inside the untrusted compartment, restoring rights on the
-    /// way out even if `f` fails.
-    pub fn with_untrusted<R, E: From<GateError>>(
-        &mut self,
-        cpu: &mut Cpu,
-        f: impl FnOnce(&mut Gates, &mut Cpu) -> Result<R, E>,
-    ) -> Result<R, E> {
-        self.enter_untrusted(cpu)?;
-        let result = f(self, cpu);
-        self.exit_untrusted(cpu)?;
-        result
-    }
-
-    /// Runs `f` inside the trusted compartment (a callback from `U`),
-    /// restoring the untrusted caller's rights on the way out.
-    pub fn with_trusted<R, E: From<GateError>>(
-        &mut self,
-        cpu: &mut Cpu,
-        f: impl FnOnce(&mut Gates, &mut Cpu) -> Result<R, E>,
-    ) -> Result<R, E> {
-        self.enter_trusted(cpu)?;
-        let result = f(self, cpu);
-        self.exit_trusted(cpu)?;
-        result
-    }
 }
 
 #[cfg(test)]
@@ -389,6 +363,12 @@ mod tests {
     fn setup() -> (Gates, Cpu, Pkey) {
         let key = Pkey::new(1).unwrap();
         (Gates::new(key), Cpu::new(), key)
+    }
+
+    /// One entry into the untrusted compartment and back, both granted.
+    fn round_trip(gates: &mut Gates, cpu: &mut Cpu) {
+        gates.enter_untrusted(cpu).unwrap();
+        gates.exit_untrusted(cpu).unwrap();
     }
 
     #[test]
@@ -439,22 +419,10 @@ mod tests {
     }
 
     #[test]
-    fn closure_helpers_restore_on_error() {
-        let (mut gates, mut cpu, key) = setup();
-        let before = cpu.pkru();
-        let result: Result<(), GateError> = gates.with_untrusted(&mut cpu, |_, cpu| {
-            assert!(!cpu.pkru().allows(key, AccessKind::Read));
-            Err(GateError::StackUnderflow)
-        });
-        assert!(result.is_err());
-        assert_eq!(cpu.pkru(), before);
-        assert_eq!(gates.depth(), 0);
-    }
-
-    #[test]
     fn transition_counter_resets() {
         let (mut gates, mut cpu, _) = setup();
-        gates.with_untrusted::<_, GateError>(&mut cpu, |_, _| Ok(())).unwrap();
+        gates.enter_untrusted(&mut cpu).unwrap();
+        gates.exit_untrusted(&mut cpu).unwrap();
         assert_eq!(gates.transitions(), 2);
         gates.reset_transitions();
         assert_eq!(gates.transitions(), 0);
@@ -503,7 +471,7 @@ mod tests {
         gates.set_crossing_cost(Duration::ZERO);
         let handler = Arc::new(ViolationHandler::new(MpkPolicy::Quarantine { threshold: 1 }, 0));
         gates.set_violation_handler(Arc::clone(&handler));
-        gates.with_untrusted::<_, GateError>(&mut cpu, |_, _| Ok(())).unwrap();
+        round_trip(&mut gates, &mut cpu);
         // One violation trips the threshold-1 breaker...
         handler.on_violation(
             &Fault {
@@ -517,7 +485,7 @@ mod tests {
         assert_eq!(gates.enter_trusted(&mut cpu), Err(GateError::Quarantined));
         // ...and a respawned incarnation is admitted again.
         handler.begin_incarnation();
-        gates.with_untrusted::<_, GateError>(&mut cpu, |_, _| Ok(())).unwrap();
+        round_trip(&mut gates, &mut cpu);
     }
 
     #[test]
@@ -530,7 +498,7 @@ mod tests {
         let tenant_pkru = Pkru::deny_only(key);
         gates.set_untrusted_lease(tenant_pkru, LeaseStamp::new(3, Arc::clone(&current)));
         // Live lease: entry granted, rights in force.
-        gates.with_untrusted::<_, GateError>(&mut cpu, |_, _| Ok(())).unwrap();
+        round_trip(&mut gates, &mut cpu);
         // The binding is revoked (key stolen): entry must refuse typed,
         // leave the stack balanced, and never load the stale rights.
         current.store(0, Ordering::SeqCst);
@@ -551,7 +519,7 @@ mod tests {
             Err(GateError::StaleLease { held: 3, current: 4 })
         );
         gates.set_untrusted_lease(tenant_pkru, LeaseStamp::new(4, Arc::clone(&current)));
-        gates.with_untrusted::<_, GateError>(&mut cpu, |_, _| Ok(())).unwrap();
+        round_trip(&mut gates, &mut cpu);
     }
 
     #[test]
@@ -567,7 +535,7 @@ mod tests {
         // stamp: the worker's base compartment has no lease to go stale.
         gates.set_untrusted_pkru(gates.untrusted_pkru());
         assert!(gates.untrusted_lease().is_none());
-        gates.with_untrusted::<_, GateError>(&mut cpu, |_, _| Ok(())).unwrap();
+        round_trip(&mut gates, &mut cpu);
     }
 
     #[test]

@@ -304,9 +304,10 @@ impl Machine {
         self.handler = None;
     }
 
-    /// Installs the syscall filter consulted by [`Machine::syscall`].
-    pub fn install_syscall_filter(&mut self, filter: SyscallFilter) {
-        self.syscall_filter = filter;
+    /// Installs the syscall filter consulted by [`Machine::syscall`],
+    /// returning the one it replaces (a switch back needs no clone).
+    pub fn install_syscall_filter(&mut self, filter: SyscallFilter) -> SyscallFilter {
+        std::mem::replace(&mut self.syscall_filter, filter)
     }
 
     /// The syscall filter in force.

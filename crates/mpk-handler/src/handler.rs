@@ -56,11 +56,11 @@ pub struct ViolationHandler {
     /// key are recorded but denied outright.
     grant_scope: Option<Pkey>,
     /// The tenant's *currently bound* hardware key, refreshed on every
-    /// bind/rebind and cleared at the worker's restore point. Kept
-    /// separate from the immutable base scope: a scope captured at bind
-    /// time would keep naming the hardware key after it is stolen and
-    /// recycled — and an audit single-step would then grant the key's
-    /// next owner.
+    /// bind/rebind and cleared when the worker leaves the compartment.
+    /// Kept separate from the immutable base scope: a scope captured at
+    /// bind time would keep naming the hardware key after it is stolen
+    /// and recycled — and an audit single-step would then grant the
+    /// key's next owner.
     tenant_scope: Mutex<Option<Pkey>>,
     inner: Mutex<Inner>,
 }
@@ -100,8 +100,8 @@ impl ViolationHandler {
     /// Refreshes the tenant's currently bound hardware key (widening the
     /// grant scope to base ∪ tenant key), or clears it with `None`.
     ///
-    /// Call on every bind/rebind and at the worker's restore point: the
-    /// scope must track the *live* binding, never a recycled key.
+    /// Call on every bind/rebind and when the worker leaves the compartment:
+    /// the scope must track the *live* binding, never a recycled key.
     pub fn refresh_tenant_scope(&self, key: Option<Pkey>) {
         *self.tenant_scope.lock().expect("tenant scope lock") = key;
     }

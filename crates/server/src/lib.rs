@@ -38,6 +38,7 @@
 //! `served + abandoned + expired + rejected == requested` on every exit
 //! path.
 
+mod compartment;
 mod fault;
 mod overload;
 mod queue;

@@ -574,6 +574,98 @@ fn run_producer(
     queue.close();
 }
 
+/// The supervisor's ledger of the pool: which slots run an incarnation,
+/// their watchdog heartbeats and respawn budgets, and the supervision
+/// counters the report carries. `spawn_worker` starts a slot's live
+/// incarnation on its own thread.
+struct Supervisor<'a, F: Fn(usize, u64)> {
+    cells: &'a [Arc<WorkerCell>],
+    ctx: PoolCtx<'a>,
+    spawn_worker: F,
+    alive: usize,
+    budget: Vec<usize>,
+    /// Per slot with a running incarnation: the last heartbeat seen and
+    /// when it last advanced.
+    beats: Vec<Option<(u64, Instant)>>,
+    workers_restarted: u64,
+    requests_retried: u64,
+    workers_stalled: u64,
+    /// Set iff the whole pool died; `(slot, message)` of the last death.
+    pool_failure: Option<(usize, String)>,
+}
+
+impl<F: Fn(usize, u64)> Supervisor<'_, F> {
+    /// Starts `slot`'s live incarnation and arms its watchdog deadline.
+    fn spawn(&mut self, slot: usize) {
+        (self.spawn_worker)(slot, self.cells[slot].live_incarnation());
+        self.beats[slot] = Some((self.cells[slot].probe().0, Instant::now()));
+        self.alive += 1;
+    }
+
+    /// Records that `slot`'s incarnation is gone.
+    fn stop(&mut self, slot: usize) {
+        self.beats[slot] = None;
+        self.alive -= 1;
+    }
+
+    /// Retires `slot`'s incarnation, which died or was condemned while
+    /// holding `in_flight`. Retry-once: the request goes back to the front
+    /// of the queue unless it already rode a retry, in which case it is
+    /// abandoned and only counted. The slot respawns within its budget;
+    /// otherwise it stays dead while survivors drain on — and if it was
+    /// the last one, nobody will ever pop again, so the queue closes (the
+    /// producer unblocks and exits) and `why` becomes the pool's failure.
+    fn retire(&mut self, slot: usize, in_flight: Option<Request>, why: String) {
+        self.stop(slot);
+        let respawn = self.budget[slot] > 0 && self.ctx.host.workers_started() < MAX_WORKERS;
+        if let Some(request) = in_flight {
+            if !request.retried && (respawn || self.alive > 0) {
+                self.ctx.queue.requeue(Request { retried: true, ..request });
+                self.requests_retried += 1;
+            }
+        }
+        if respawn {
+            self.budget[slot] -= 1;
+            self.workers_restarted += 1;
+            self.spawn(slot);
+        } else if self.alive == 0 {
+            self.pool_failure = Some((slot, why));
+            self.ctx.queue.close();
+        }
+    }
+
+    /// The watchdog scan: a slot whose heartbeat has not advanced for
+    /// `stall_timeout` *while holding a request in flight* is wedged. Its
+    /// incarnation is condemned (poisoning its cell writes) and retired
+    /// like a death. The wedged thread itself is leaked until end-of-run —
+    /// never joined, never trusted again.
+    fn condemn_stalled(&mut self, stall_timeout: Duration) {
+        for slot in 0..self.cells.len() {
+            let Some((last, since)) = self.beats[slot] else { continue };
+            let (beat, in_flight) = self.cells[slot].probe();
+            if beat != last || !in_flight {
+                // Progress, or idle (blocked on an empty queue is not a
+                // stall): reset the deadline.
+                self.beats[slot] = Some((beat, Instant::now()));
+                continue;
+            }
+            if since.elapsed() < stall_timeout {
+                continue;
+            }
+            self.workers_stalled += 1;
+            // Condemning takes the in-flight request in the same atomic
+            // cell operation that bumps the incarnation, so the wedged
+            // thread can never complete the request after it is requeued.
+            let in_flight = self.cells[slot].condemn();
+            self.retire(
+                slot,
+                in_flight,
+                "worker stalled past the watchdog deadline; respawn budget exhausted".into(),
+            );
+        }
+    }
+}
+
 /// Runs the full pipeline and the supervised pool, returning the
 /// aggregated report — or, if every worker slot died past its respawn
 /// budget, the fatal error with the partial report attached. Either way
@@ -645,21 +737,16 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
         }
     };
 
-    let mut workers_restarted = 0u64;
-    let mut requests_retried = 0u64;
-    let mut workers_stalled = 0u64;
-    // Set iff the whole pool died; `(slot, message)` of the last death.
-    let mut pool_failure: Option<(usize, String)> = None;
     let overload = OverloadState::new(config.tenants);
 
     let start = Instant::now();
-    thread::scope(|scope| {
+    let supervised = thread::scope(|scope| {
         // Worker exits flow to the supervisor as (slot, incarnation,
-        // death cause). The incarnation stamp lets the supervisor drop
+        // cause of death). The incarnation stamp lets the supervisor drop
         // *stale* events: a thread the watchdog already condemned and
         // replaced may still exit much later, and that exit must not
         // perturb the live slot's bookkeeping.
-        let (events, exits) = mpsc::channel::<(usize, u64, Option<ServeError>)>();
+        let (events, exits) = mpsc::channel::<(usize, u64, Option<String>)>();
         let ctx = PoolCtx {
             queue: &queue,
             host: &host,
@@ -682,19 +769,26 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
                     run_worker(slot, incarnation, ctx, &cell, handler.as_ref())
                 }));
                 let death = match outcome {
-                    Ok(Ok(())) => None,
-                    Ok(Err(error)) => Some(error),
-                    Err(_) => Some(ServeError::Worker {
-                        worker: slot,
-                        message: "worker panicked".into(),
-                        report: None,
-                    }),
+                    Ok(result) => result.err(),
+                    Err(_) => Some("worker panicked".into()),
                 };
                 let _ = events.send((slot, incarnation, death));
             });
         };
-        for (slot, cell) in cells.iter().enumerate() {
-            spawn_worker(slot, cell.live_incarnation());
+        let mut pool = Supervisor {
+            cells: &cells,
+            ctx,
+            spawn_worker,
+            alive: 0,
+            budget: vec![RESTART_BUDGET; config.workers],
+            beats: vec![None; config.workers],
+            workers_restarted: 0,
+            requests_retried: 0,
+            workers_stalled: 0,
+            pool_failure: None,
+        };
+        for slot in 0..config.workers {
+            pool.spawn(slot);
         }
 
         // The producer gets its own thread so the supervisor below can
@@ -716,14 +810,7 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
         let stall_timeout = Duration::from_millis(config.stall_timeout_ms);
         let watchdog_tick =
             (stall_timeout / 4).clamp(Duration::from_millis(10), Duration::from_millis(250));
-        let mut alive = config.workers;
-        let mut budget = vec![RESTART_BUDGET; config.workers];
-        // Per slot: is an incarnation running, and when did we last see
-        // its heartbeat advance (watchdog bookkeeping).
-        let mut running = vec![true; config.workers];
-        let mut beats: Vec<(u64, Instant)> =
-            cells.iter().map(|c| (c.probe().0, Instant::now())).collect();
-        while alive > 0 {
+        while pool.alive > 0 {
             match exits.recv_timeout(watchdog_tick) {
                 Ok((slot, incarnation, death)) => {
                     if incarnation != cells[slot].live_incarnation() {
@@ -732,39 +819,10 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
                         // to account.
                         continue;
                     }
-                    running[slot] = false;
-                    alive -= 1;
-                    let Some(death) = death else { continue };
-                    let respawn = budget[slot] > 0 && host.workers_started() < MAX_WORKERS;
-                    // Retry-once: the dead incarnation's in-flight request
-                    // goes back to the front of the queue — unless it
-                    // already rode a retry, in which case it is abandoned
-                    // and only counted.
-                    if let Some(request) = cells[slot].take_in_flight() {
-                        if !request.retried && (respawn || alive > 0) {
-                            queue.requeue(Request { retried: true, ..request });
-                            requests_retried += 1;
-                        }
+                    match death {
+                        None => pool.stop(slot),
+                        Some(why) => pool.retire(slot, cells[slot].take_in_flight(), why),
                     }
-                    if respawn {
-                        budget[slot] -= 1;
-                        workers_restarted += 1;
-                        spawn_worker(slot, cells[slot].live_incarnation());
-                        running[slot] = true;
-                        beats[slot] = (cells[slot].probe().0, Instant::now());
-                        alive += 1;
-                    } else if alive == 0 {
-                        // The whole pool is dead: nobody will ever pop
-                        // again. Close the queue so the producer unblocks
-                        // and exits.
-                        let message = match death {
-                            ServeError::Worker { message, .. } => message,
-                            other => other.to_string(),
-                        };
-                        pool_failure = Some((slot, message));
-                        queue.close();
-                    }
-                    // else: slot permanently dead, survivors drain on.
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
                 // The supervisor holds an `events` sender for the
@@ -774,62 +832,14 @@ pub fn serve(config: ServeConfig) -> Result<ServeReport, ServeError> {
                     unreachable!("event senders outlive the supervisor loop")
                 }
             }
-            // The watchdog scan: a slot whose heartbeat has not advanced
-            // past the deadline *while holding a request in flight* is
-            // wedged. Condemn the incarnation (poisoning its cell
-            // writes), requeue its request under the same retry-once
-            // rule, and respawn through the normal budget. The wedged
-            // thread itself is leaked until end-of-run — never joined,
-            // never trusted again.
-            for slot in 0..config.workers {
-                if !running[slot] {
-                    continue;
-                }
-                let (beat, in_flight) = cells[slot].probe();
-                if beat != beats[slot].0 || !in_flight {
-                    // Progress, or idle (blocked on an empty queue is not
-                    // a stall): reset the deadline.
-                    beats[slot] = (beat, Instant::now());
-                    continue;
-                }
-                if beats[slot].1.elapsed() < stall_timeout {
-                    continue;
-                }
-                workers_stalled += 1;
-                alive -= 1;
-                running[slot] = false;
-                let respawn = budget[slot] > 0 && host.workers_started() < MAX_WORKERS;
-                // Condemn *before* requeueing: bumping the incarnation
-                // and taking the in-flight request is one atomic cell
-                // operation, so the wedged thread can never complete the
-                // request after we hand it to someone else.
-                if let Some(request) = cells[slot].condemn() {
-                    if !request.retried && (respawn || alive > 0) {
-                        queue.requeue(Request { retried: true, ..request });
-                        requests_retried += 1;
-                    }
-                }
-                if respawn {
-                    budget[slot] -= 1;
-                    workers_restarted += 1;
-                    spawn_worker(slot, cells[slot].live_incarnation());
-                    running[slot] = true;
-                    beats[slot] = (cells[slot].probe().0, Instant::now());
-                    alive += 1;
-                } else if alive == 0 {
-                    pool_failure = Some((
-                        slot,
-                        "worker stalled past the watchdog deadline; respawn budget exhausted"
-                            .into(),
-                    ));
-                    queue.close();
-                }
-            }
+            pool.condemn_stalled(stall_timeout);
         }
         // Supervision is over: open the stall gate so any wedged threads
         // (all condemned by now) can exit and the scope can join them.
         faults.release_stalls();
+        (pool.workers_restarted, pool.requests_retried, pool.workers_stalled, pool.pool_failure)
     });
+    let (workers_restarted, requests_retried, workers_stalled, pool_failure) = supervised;
     let elapsed_seconds = start.elapsed().as_secs_f64();
     // The host space is exclusive to the pool (profiling and reference
     // passes run on private spaces), so its TLB counters are exactly the

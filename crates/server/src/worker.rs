@@ -11,6 +11,10 @@
 //! and the request currently in flight — in a [`WorkerCell`] the
 //! supervisor also holds: whatever kills the incarnation, the work it
 //! completed survives, and the one request it was holding can be requeued.
+//!
+//! Each request runs inside a [`Compartment`] guard (its tenant's, or
+//! the worker's own) and completes through one routine that counts it,
+//! records its outcome, and ticks the logical clock.
 
 use std::sync::{Arc, Mutex};
 
@@ -22,13 +26,13 @@ use minijs::Value;
 use pkru_gates::GateError;
 use pkru_handler::ViolationHandler;
 use pkru_provenance::Profile;
-use pkru_tenant::{TenantLease, TenantRegistry};
+use pkru_tenant::{Tenant, TenantRegistry};
 
+use crate::compartment::Compartment;
 use crate::fault::{FaultKind, FaultState};
 use crate::overload::OverloadState;
 use crate::queue::BoundedQueue;
 use crate::request::{Request, RequestKind, Response, ScriptSpec, PAGE_LOAD};
-use crate::server::ServeError;
 
 /// Backoff-and-retry attempts a worker spends binding a tenant whose
 /// every candidate key is quarantined behind the revocation barrier
@@ -134,61 +138,30 @@ impl WorkerCell {
         true
     }
 
-    /// Completes the in-flight request: clears it, beats the heartbeat,
-    /// and applies `update` to the counters/responses in one critical
-    /// section, so a crash can never double-account a request. Returns
-    /// whether the write landed (a condemned incarnation's does not).
-    fn complete(
-        &self,
-        incarnation: u64,
-        update: impl FnOnce(&mut WorkerStats, &mut Vec<Response>),
-    ) -> bool {
+    /// Disposes of the in-flight request (served, failed or shed): clears
+    /// it, beats the heartbeat, and applies `update` to the counters,
+    /// responses and latency samples in one critical section, so a crash
+    /// can never double-account a request. Returns whether the write
+    /// landed (a condemned incarnation's does not).
+    fn complete(&self, incarnation: u64, update: impl FnOnce(&mut CellInner)) -> bool {
         let mut inner = self.inner.lock().unwrap();
         if inner.live != incarnation {
             return false;
         }
         inner.in_flight = None;
         inner.heartbeat += 1;
-        let inner = &mut *inner;
-        update(&mut inner.stats, &mut inner.responses);
+        update(&mut inner);
         true
     }
 
-    /// Sheds the in-flight request as expired: clears it, beats the
-    /// heartbeat, counts the shed — one critical section, same rules as
-    /// [`WorkerCell::complete`]. Returns whether the shed landed.
-    fn expire(&self, incarnation: u64) -> bool {
+    /// Folds one incarnation's gate transitions and dispatch counters
+    /// (inline-cache hits and misses, fused superinstructions) into the
+    /// slot total. Deliberately *not* incarnation-gated: the counts are
+    /// work the hardware and the interpreter really did, whoever's ledger
+    /// the requests land in.
+    fn add_work(&self, transitions: u64, dispatch: DispatchStats) {
         let mut inner = self.inner.lock().unwrap();
-        if inner.live != incarnation {
-            return false;
-        }
-        inner.in_flight = None;
-        inner.heartbeat += 1;
-        inner.stats.expired += 1;
-        true
-    }
-
-    /// Records one admission→completion latency sample.
-    fn push_latency(&self, incarnation: u64, ms: f64) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.live == incarnation {
-            inner.latencies.push(ms);
-        }
-    }
-
-    /// Folds one incarnation's gate transitions into the slot total.
-    /// Deliberately *not* incarnation-gated: transitions are real work the
-    /// hardware executed, whoever's ledger the requests land in.
-    fn add_transitions(&self, transitions: u64) {
-        self.inner.lock().unwrap().stats.transitions += transitions;
-    }
-
-    /// Folds one incarnation's dispatch counters (inline-cache hits and
-    /// misses, fused superinstructions) into the slot total. Like
-    /// [`WorkerCell::add_transitions`], not incarnation-gated: the counts
-    /// are work the interpreter really did.
-    fn add_dispatch(&self, dispatch: DispatchStats) {
-        let mut inner = self.inner.lock().unwrap();
+        inner.stats.transitions += transitions;
         inner.stats.ic_hits += dispatch.ic_hits;
         inner.stats.ic_misses += dispatch.ic_misses;
         inner.stats.fused_ops += dispatch.fused_ops;
@@ -278,13 +251,15 @@ fn exhaust_carveout(browser: &mut Browser) -> String {
 /// only the [`SharedHost`] crosses the thread boundary. A respawned
 /// incarnation claims a fresh carve-out slot from the host, so it starts
 /// with a clean allocator even if its predecessor died by exhaustion.
+///
+/// An incarnation that dies returns the cause of death.
 pub fn run_worker(
     worker: usize,
     incarnation: u64,
     ctx: PoolCtx<'_>,
     cell: &WorkerCell,
     handler: Option<&Arc<ViolationHandler>>,
-) -> Result<(), ServeError> {
+) -> Result<(), String> {
     let PoolCtx { queue, host, profile, faults, registry, overload, .. } = ctx;
     if let Some(handler) = handler {
         // A fresh incarnation starts with a clean quarantine breaker; the
@@ -292,11 +267,7 @@ pub fn run_worker(
         handler.begin_incarnation();
     }
     if faults.setup_should_fail(worker) {
-        return Err(ServeError::Worker {
-            worker,
-            message: "browser setup: injected setup failure".into(),
-            report: None,
-        });
+        return Err("browser setup: injected setup failure".into());
     }
     let built = match handler {
         Some(handler) => {
@@ -304,21 +275,8 @@ pub fn run_worker(
         }
         None => Browser::with_profile_on(BrowserConfig::Mpk, Some(profile), host),
     };
-    let mut browser = built.map_err(|e| ServeError::Worker {
-        worker,
-        message: format!("browser setup: {e}"),
-        report: None,
-    })?;
-    browser.load_html(micro_page()).map_err(|e| ServeError::Worker {
-        worker,
-        message: format!("initial page: {e}"),
-        report: None,
-    })?;
-    // The worker's ambient compartment context, restored after every
-    // tenant-tagged request: the single-U untrusted PKRU and the default
-    // (deny-all) syscall filter the browser was built with.
-    let base_untrusted = browser.machine.gates.untrusted_pkru();
-    let base_filter = browser.machine.syscall_filter().clone();
+    let mut browser = built.map_err(|e| format!("browser setup: {e}"))?;
+    browser.load_html(micro_page()).map_err(|e| format!("initial page: {e}"))?;
     // Register this incarnation with the key pool's revocation barrier.
     // The gates publish through the handle — region entry (depth 0 → 1)
     // stamps the barrier epoch, the single restore point parks — and its
@@ -331,6 +289,8 @@ pub fn run_worker(
         epoch
     });
 
+    let this = Incarnation { worker, incarnation, ctx, cell, handler };
+    let mut result = Ok(());
     while let Some(request) = queue.pop() {
         // A condemned incarnation (the watchdog wrote this thread off and
         // respawned the slot) must not serve: the popped request belongs
@@ -343,346 +303,280 @@ pub fn run_worker(
         // clock has already passed is counted expired, never served —
         // bounding queue wait at `deadline_ticks` service times.
         if request.deadline != 0 && overload.ticks() >= request.deadline {
-            if cell.expire(incarnation) {
+            if cell.complete(incarnation, |inner| inner.stats.expired += 1) {
                 overload.tick();
             }
             continue;
         }
-        // Tenant-tagged request: bind the tenant's virtual key (possibly
-        // stealing an LRU hardware key from an idle tenant) and swap the
-        // worker into the tenant's compartment. The lease no longer pins
-        // the binding — revocation protects it: if the pool steals the
-        // key mid-request, the gates refuse with a typed `StaleLease`
-        // and the worker re-binds below.
-        let mut lease = match (registry, request.tenant) {
-            (Some(registry), Some(tid)) => {
-                match registry.bind_with_retry(tid, TENANT_BIND_RETRIES) {
-                    Ok(lease) => {
-                        let tenant = Arc::clone(lease.tenant());
-                        if tenant.quarantined() {
-                            // A quarantined tenant is refused per request
-                            // — its neighbours (and this worker) keep
-                            // serving.
-                            tenant.record_rejected();
-                            if cell.complete(incarnation, |stats, _| {
-                                stats.requests += 1;
-                                match request.kind {
-                                    RequestKind::PageLoad => stats.page_loads += 1,
-                                    RequestKind::Script(_) => stats.scripts += 1,
-                                }
-                            }) {
-                                overload.tick();
-                            }
-                            continue;
-                        }
-                        tenant.record_request();
-                        install_tenant(&mut browser, &lease);
-                        Some(lease)
-                    }
-                    // Bind refused after the retry budget (sustained
-                    // barrier pressure or true exhaustion): the request
-                    // completes as an error, the worker survives.
-                    Err(_) => {
-                        if cell.complete(incarnation, |stats, _| {
-                            stats.requests += 1;
-                            match request.kind {
-                                RequestKind::PageLoad => stats.page_loads += 1,
-                                RequestKind::Script(_) => stats.scripts += 1,
-                            }
-                            stats.errors += 1;
-                        }) {
-                            overload.tick();
-                        }
-                        continue;
-                    }
-                }
+        if let Some(error) = this.handle(&mut browser, &request) {
+            result = Err(error);
+            break;
+        }
+    }
+    cell.add_work(browser.stats().transitions, browser.dispatch_stats());
+    result
+}
+
+/// What a completed request adds to the slot's ledger beyond the
+/// per-kind count every completion makes.
+enum Outcome {
+    /// Nothing more: a quarantined tenant's refusal, or a violation the
+    /// handler already accounted.
+    Done,
+    /// A response, checked against the reference checksum after drain.
+    Response(Response),
+    /// A non-MPK failure.
+    Error,
+    /// An MPK violation no handler judged.
+    PkeyFault,
+}
+
+/// One running incarnation of a worker slot: what it needs to serve a
+/// request and complete it in the slot's cell.
+struct Incarnation<'a> {
+    worker: usize,
+    incarnation: u64,
+    ctx: PoolCtx<'a>,
+    cell: &'a WorkerCell,
+    /// The worker's own violation handler (`None` under `enforce`).
+    handler: Option<&'a Arc<ViolationHandler>>,
+}
+
+impl Incarnation<'_> {
+    /// Serves one popped request and completes it in the cell. Returns
+    /// the cause of death when the request must end this incarnation; a
+    /// request that panics stays in flight in the cell for the supervisor
+    /// to requeue.
+    fn handle(&self, browser: &mut Browser, request: &Request) -> Option<String> {
+        // From here until it drops, on every return and during unwind,
+        // the browser runs in the request's compartment.
+        let mut browser = match self.enter(browser, request) {
+            Ok(compartment) => compartment,
+            Err(refused) => {
+                self.complete(request, refused, false);
+                return None;
             }
-            _ => None,
         };
-        // The tenant outlives any one lease (a stale re-bind replaces
-        // the lease mid-request), so hold it by its own Arc.
-        let tenant_arc = lease.as_ref().map(|l| Arc::clone(l.tenant()));
+        // Held by its own Arc: the compartment is borrowed mutably below.
+        let tenant = browser.lease().map(|l| Arc::clone(l.tenant()));
         // Injected faults consult the *tenant's* handler when one is
         // active: a violation inside a tenant compartment is the
         // tenant's liability, not the worker's.
-        let active_handler = tenant_arc.as_ref().and_then(|t| t.handler()).or(handler);
-        // The request body runs inside a labelled block so every early
-        // exit funnels through one restore point below — a tenant swap
-        // must never leak into the next request's compartment.
-        let die: Option<ServeError> = 'serve: {
-            if lease.is_some() {
-                // Touch the tenant's private region under its rights:
-                // the round-trip only succeeds if the bind re-tagged the
-                // tenant's (parked) pages onto the leased hardware key.
-                // The pool may steal that key at any moment — the gate
-                // then refuses with a typed `StaleLease` (or a mem op
-                // faults on the freshly parked pages mid-region), and
-                // the worker re-binds and retries, bounded.
-                let tenant = Arc::clone(tenant_arc.as_ref().expect("tenant in flight"));
-                let scratch = tenant.scratch_addr();
-                let mut rebinds = 0usize;
-                let touched = loop {
-                    let m = &mut browser.machine;
-                    let ok = match m.gates.enter_untrusted(&mut m.cpu) {
-                        Ok(()) => {
-                            let wrote = m.mem_write(scratch, request.id).is_ok()
-                                && m.mem_read(scratch) == Ok(request.id);
-                            // The exit gate runs unconditionally after a
-                            // successful enter: an open region would
-                            // block the revocation barrier (and leak
-                            // compartment stack depth) for the rest of
-                            // the incarnation.
-                            let exited = m.gates.exit_untrusted(&mut m.cpu).is_ok();
-                            wrote && exited
-                        }
-                        Err(GateError::StaleLease { .. }) => false,
-                        Err(_) => break false,
+        let active_handler = tenant.as_ref().and_then(|t| t.handler()).or(self.handler);
+        match self.ctx.faults.next_request(self.worker) {
+            None => {
+                let outcome = self.serve(&mut browser, request);
+                self.complete(request, outcome, true);
+                None
+            }
+            Some(FaultKind::Panic) => {
+                // The in-flight request stays in the cell: the supervisor
+                // recovers and requeues it.
+                panic!("injected panic: worker {} dying on request {}", self.worker, request.id);
+            }
+            Some(FaultKind::PkeyViolation) => match active_handler {
+                // No handler (enforce): an injected violation looks exactly
+                // like a real one — the request completes, the defect lands
+                // in the report.
+                None => {
+                    self.complete(request, Outcome::PkeyFault, false);
+                    None
+                }
+                // With a handler, the injection provokes a *real* MPK
+                // violation (a trusted-pool read from inside the
+                // compartment) that flows through the machine's fault path
+                // into the handler. The violation is accounted there —
+                // never in `pkey_faults` — so `injected_faults` and the
+                // `violations_*` counters stay disjoint from the legacy
+                // unexpected-fault counter.
+                Some(active) => {
+                    // A denied probe is the handler's verdict (enforcement
+                    // or a tripped breaker), already counted by the
+                    // handler; anything else is a genuine worker error.
+                    let outcome = match browser.probe_trusted_access() {
+                        Err(e) if !e.is_pkey_violation() => Outcome::Error,
+                        _ => Outcome::Done,
                     };
-                    if ok {
-                        break true;
-                    }
-                    let stale = !lease.as_ref().expect("tenant lease in flight").is_current();
-                    if !stale || rebinds >= STALE_REBIND_RETRIES {
-                        break false;
-                    }
-                    // Revoked underneath us: re-bind the tenant (counted
-                    // against its bind_retries stat) and reinstall the
-                    // fresh lease.
-                    rebinds += 1;
-                    tenant.record_bind_retry();
-                    let registry = registry.expect("tenant lease implies a registry");
-                    match registry.bind_with_retry(tenant.id(), TENANT_BIND_RETRIES) {
-                        Ok(fresh) => {
-                            install_tenant(&mut browser, &fresh);
-                            lease = Some(fresh);
-                        }
-                        Err(_) => break false,
-                    }
-                };
-                if !touched {
-                    if cell.complete(incarnation, |stats, _| {
-                        stats.requests += 1;
-                        match request.kind {
-                            RequestKind::PageLoad => stats.page_loads += 1,
-                            RequestKind::Script(_) => stats.scripts += 1,
-                        }
-                        stats.errors += 1;
-                    }) {
-                        overload.tick();
-                    }
-                    break 'serve None;
+                    self.complete(request, outcome, false);
+                    // A tripped *tenant* breaker condemns the tenant (every
+                    // later request of theirs is rejected) while the
+                    // worker lives on. The worker's own breaker tears this
+                    // incarnation down through the supervision path; the
+                    // request was completed above, so nothing is requeued.
+                    (active.tripped() && tenant.is_none())
+                        .then(|| "quarantined: MPK violation breaker tripped".into())
                 }
+            },
+            Some(FaultKind::AllocExhaustion) => Some(exhaust_carveout(&mut browser)),
+            Some(FaultKind::Stall) => {
+                // The wedge: heartbeat frozen, request in flight, thread
+                // parked on the stall gate. The watchdog must condemn this
+                // incarnation and requeue the request; the gate opens only
+                // once supervision is over, and by then this incarnation is
+                // poisoned — it leaves with nothing to report. The tenant's
+                // gate region was already exited by `touch_tenant` (the
+                // worker's barrier epoch is parked), so a wedged thread
+                // never blocks key revocation either.
+                self.ctx.faults.stall_until_released();
+                None
             }
-            match faults.next_request(worker) {
-                None => {}
-                Some(FaultKind::Panic) => {
-                    // The in-flight request stays in the cell: the supervisor
-                    // recovers and requeues it.
-                    panic!("injected panic: worker {worker} dying on request {}", request.id);
-                }
-                Some(FaultKind::PkeyViolation) => {
-                    match active_handler {
-                        // No handler (enforce): an injected violation looks
-                        // exactly like a real one — the request completes, the
-                        // defect lands in the report.
-                        None => {
-                            if cell.complete(incarnation, |stats, _| {
-                                stats.requests += 1;
-                                match request.kind {
-                                    RequestKind::PageLoad => stats.page_loads += 1,
-                                    RequestKind::Script(_) => stats.scripts += 1,
-                                }
-                                stats.pkey_faults += 1;
-                            }) {
-                                overload.tick();
-                            }
-                            break 'serve None;
-                        }
-                        // With a handler, the injection provokes a *real* MPK
-                        // violation (a trusted-pool read from inside the
-                        // compartment) that flows through the machine's fault
-                        // path into the handler. The violation is accounted
-                        // there — never in `pkey_faults` — so `injected_faults`
-                        // and the `violations_*` counters stay disjoint from
-                        // the legacy unexpected-fault counter.
-                        Some(active) => {
-                            let outcome = browser.probe_trusted_access();
-                            if cell.complete(incarnation, |stats, _| {
-                                stats.requests += 1;
-                                match request.kind {
-                                    RequestKind::PageLoad => stats.page_loads += 1,
-                                    RequestKind::Script(_) => stats.scripts += 1,
-                                }
-                                // A denied probe is the handler's verdict
-                                // (enforcement or a tripped breaker), already
-                                // counted by the handler; anything else is a
-                                // genuine worker error.
-                                if let Err(e) = &outcome {
-                                    if !e.is_pkey_violation() {
-                                        stats.errors += 1;
-                                    }
-                                }
-                            }) {
-                                overload.tick();
-                            }
-                            if active.tripped() {
-                                if lease.is_some() {
-                                    // The *tenant's* breaker tripped: the
-                                    // tenant is condemned (every later
-                                    // request of theirs is rejected), but
-                                    // the worker lives on for everyone
-                                    // else.
-                                    break 'serve None;
-                                }
-                                // The worker's own breaker: tear this
-                                // incarnation down through the supervision
-                                // path. The request was completed above, so
-                                // nothing is requeued.
-                                break 'serve Some(ServeError::Worker {
-                                    worker,
-                                    message: "quarantined: MPK violation breaker tripped".into(),
-                                    report: None,
-                                });
-                            }
-                            break 'serve None;
-                        }
-                    }
-                }
-                Some(FaultKind::AllocExhaustion) => {
-                    let message = exhaust_carveout(&mut browser);
-                    break 'serve Some(ServeError::Worker { worker, message, report: None });
-                }
-                Some(FaultKind::Stall) => {
-                    // The wedge: heartbeat frozen, request in flight,
-                    // thread parked on the stall gate. The watchdog must
-                    // condemn this incarnation and requeue the request;
-                    // the gate opens only once supervision is over, and
-                    // by then this incarnation is poisoned — it exits
-                    // through the restore path with nothing to report.
-                    // Note the gate region was already exited above (the
-                    // worker's barrier epoch is parked), so a wedged
-                    // thread never blocks key revocation either.
-                    faults.stall_until_released();
-                    break 'serve None;
-                }
-                // Setup faults are filtered out by `next_request`.
-                Some(FaultKind::SetupFailure) => unreachable!("setup fault on a live worker"),
-            }
-            serve_request(worker, incarnation, &request, ctx, cell, &mut browser);
-            None
+            // Setup faults are filtered out by `next_request`.
+            Some(FaultKind::SetupFailure) => unreachable!("setup fault on a live worker"),
+        }
+    }
+
+    /// Enters the request's compartment. A tenant-tagged request binds the
+    /// tenant's virtual key (possibly stealing an LRU hardware key from an
+    /// idle tenant) and touches the tenant's region; a refusal comes back
+    /// as the outcome to complete the request with, and the worker
+    /// survives it.
+    fn enter<'w>(
+        &self,
+        browser: &'w mut Browser,
+        request: &Request,
+    ) -> Result<Compartment<'w>, Outcome> {
+        let (Some(registry), Some(tid)) = (self.ctx.registry, request.tenant) else {
+            return Ok(Compartment::enter(browser, None));
         };
-        // Restore the worker's ambient compartment before anything else
-        // can run on this browser. `set_untrusted_pkru` also drops the
-        // lease stamp from the gates.
-        if lease.is_some() {
-            browser.machine.gates.set_untrusted_pkru(base_untrusted);
-            browser.machine.install_syscall_filter(base_filter.clone());
-            // The tenant handler's grant scope must not outlive the
-            // request: the tenant's key may be stolen and recycled the
-            // moment the lease drops, and a lingering scope would let an
-            // audit single-step grant the recycled key.
-            if let Some(h) = tenant_arc.as_ref().and_then(|t| t.handler()) {
-                h.refresh_tenant_scope(None);
-            }
-            match handler {
-                Some(h) => browser.machine.set_violation_handler(Arc::clone(h)),
-                None => browser.machine.clear_violation_handler(),
-            }
+        // A bind refused after the retry budget (sustained barrier
+        // pressure or true exhaustion) is an error.
+        let lease =
+            registry.bind_with_retry(tid, TENANT_BIND_RETRIES).map_err(|_| Outcome::Error)?;
+        let tenant = Arc::clone(lease.tenant());
+        // A quarantined tenant is refused per request — its neighbours
+        // (and this worker) keep serving.
+        if tenant.quarantined() {
+            tenant.record_rejected();
+            return Err(Outcome::Done);
         }
-        drop(lease);
-        if let Some(error) = die {
-            cell.add_transitions(browser.stats().transitions);
-            cell.add_dispatch(browser.dispatch_stats());
-            return Err(error);
+        tenant.record_request();
+        // The lease does not pin the binding — revocation protects it: if
+        // the pool steals the key mid-request, the gates refuse with a
+        // typed `StaleLease` and `touch_tenant` re-binds.
+        let mut compartment = Compartment::enter(browser, Some(lease));
+        if self.touch_tenant(&mut compartment, &tenant, request.id) {
+            Ok(compartment)
+        } else {
+            Err(Outcome::Error)
         }
     }
 
-    cell.add_transitions(browser.stats().transitions);
-    cell.add_dispatch(browser.dispatch_stats());
-    Ok(())
-}
-
-/// Swaps the worker's browser into a tenant's compartment: installs the
-/// lease's PKRU together with its liveness stamp (so the gates refuse
-/// stale entry typed), refreshes the tenant handler's grant scope to the
-/// *currently* bound hardware key, and installs the tenant's violation
-/// handler and syscall filter.
-fn install_tenant(browser: &mut Browser, lease: &TenantLease) {
-    browser.machine.gates.set_untrusted_lease(lease.pkru(), lease.stamp());
-    if let Some(h) = lease.tenant().handler() {
-        h.refresh_tenant_scope(Some(lease.hw_key()));
-        browser.machine.set_violation_handler(Arc::clone(h));
+    /// Touches the tenant's private region under its rights: the
+    /// round-trip of `stamp` through the scratch slot only succeeds if the
+    /// bind re-tagged the tenant's (parked) pages onto the leased hardware
+    /// key. The pool may steal that key at any moment — the gate then
+    /// refuses with a typed `StaleLease` (or a mem op faults on the freshly
+    /// parked pages mid-region), and the worker re-binds and retries,
+    /// bounded. Returns whether the round-trip landed.
+    fn touch_tenant(&self, browser: &mut Compartment<'_>, tenant: &Tenant, stamp: u64) -> bool {
+        let scratch = tenant.scratch_addr();
+        let mut rebinds = 0usize;
+        loop {
+            let m = &mut browser.machine;
+            let ok = match m.gates.enter_untrusted(&mut m.cpu) {
+                Ok(()) => {
+                    let wrote =
+                        m.mem_write(scratch, stamp).is_ok() && m.mem_read(scratch) == Ok(stamp);
+                    // The exit gate runs unconditionally after a
+                    // successful enter: an open region would block the
+                    // revocation barrier (and leak compartment stack
+                    // depth) for the rest of the incarnation.
+                    let exited = m.gates.exit_untrusted(&mut m.cpu).is_ok();
+                    wrote && exited
+                }
+                Err(GateError::StaleLease { .. }) => false,
+                Err(_) => return false,
+            };
+            if ok {
+                return true;
+            }
+            let stale = !browser.lease().expect("tenant lease in flight").is_current();
+            if !stale || rebinds >= STALE_REBIND_RETRIES {
+                return false;
+            }
+            // Revoked underneath us: re-bind the tenant (counted against
+            // its bind_retries stat) and reinstall the fresh lease.
+            rebinds += 1;
+            tenant.record_bind_retry();
+            let registry = self.ctx.registry.expect("tenant lease implies a registry");
+            match registry.bind_with_retry(tenant.id(), TENANT_BIND_RETRIES) {
+                Ok(fresh) => browser.rebind(fresh),
+                Err(_) => return false,
+            }
+        }
     }
-    browser.machine.install_syscall_filter(lease.tenant().syscall_filter().clone());
-}
 
-/// Serves one page-load or script request on the worker's browser,
-/// completing it in `cell` (and sampling its admission→completion
-/// latency when the run records percentiles).
-fn serve_request(
-    worker: usize,
-    incarnation: u64,
-    request: &Request,
-    ctx: PoolCtx<'_>,
-    cell: &WorkerCell,
-    browser: &mut Browser,
-) {
-    let disposed = match request.kind {
-        RequestKind::PageLoad => {
-            let before = browser.stats().nodes;
-            let outcome = browser.load_html(micro_page());
-            let after = browser.stats().nodes;
-            cell.complete(incarnation, |stats, responses| {
-                stats.requests += 1;
-                stats.page_loads += 1;
+    /// Completes `request` in the cell: one more request of its kind, plus
+    /// whatever `outcome` adds. When the browser `served` the request and
+    /// the run records percentiles, its admission→completion latency is
+    /// sampled. A completion that lands (the incarnation is still live)
+    /// ticks the logical clock.
+    fn complete(&self, request: &Request, outcome: Outcome, served: bool) {
+        let disposed = self.cell.complete(self.incarnation, |cell| {
+            let stats = &mut cell.stats;
+            stats.requests += 1;
+            match request.kind {
+                RequestKind::PageLoad => stats.page_loads += 1,
+                RequestKind::Script(_) => stats.scripts += 1,
+            }
+            match outcome {
+                Outcome::Done => {}
+                Outcome::Response(response) => cell.responses.push(response),
+                Outcome::Error => stats.errors += 1,
+                Outcome::PkeyFault => stats.pkey_faults += 1,
+            }
+            if served && self.ctx.record_latency {
+                if let Some(enqueued) = request.enqueued {
+                    cell.latencies.push(enqueued.elapsed().as_secs_f64() * 1000.0);
+                }
+            }
+        });
+        if disposed {
+            self.ctx.overload.tick();
+        }
+    }
+
+    /// Serves one page-load or script request on the worker's browser.
+    fn serve(&self, browser: &mut Browser, request: &Request) -> Outcome {
+        match request.kind {
+            RequestKind::PageLoad => {
+                let before = browser.stats().nodes;
+                let outcome = browser.load_html(micro_page());
+                let after = browser.stats().nodes;
                 match outcome {
-                    // A reload can only ever add nodes, but a
-                    // failed-then-retried load must not be able to
-                    // panic the worker on an impossible negative
-                    // delta — count it as an error instead.
+                    // A reload can only ever add nodes, but a failed-then-
+                    // retried load must not be able to panic the worker on
+                    // an impossible negative delta — count it as an error
+                    // instead.
                     Ok(()) => match after.checked_sub(before) {
-                        Some(delta) => responses.push(Response {
+                        Some(delta) => Outcome::Response(Response {
                             id: request.id,
-                            worker,
+                            worker: self.worker,
                             name: PAGE_LOAD,
                             checksum: delta as f64,
                         }),
-                        None => stats.errors += 1,
+                        None => Outcome::Error,
                     },
-                    Err(e) if e.is_pkey_violation() => stats.pkey_faults += 1,
-                    Err(_) => stats.errors += 1,
+                    Err(e) if e.is_pkey_violation() => Outcome::PkeyFault,
+                    Err(_) => Outcome::Error,
                 }
-            })
-        }
-        RequestKind::Script(i) => {
-            let spec = &ctx.catalog[i];
-            let outcome =
-                browser.eval_script(&spec.source).and_then(|_| browser.call_script("run", &[]));
-            cell.complete(incarnation, |stats, responses| {
-                stats.requests += 1;
-                stats.scripts += 1;
+            }
+            RequestKind::Script(i) => {
+                let spec = &self.ctx.catalog[i];
+                let outcome =
+                    browser.eval_script(&spec.source).and_then(|_| browser.call_script("run", &[]));
                 match outcome {
-                    Ok(Value::Num(checksum)) => {
-                        responses.push(Response {
-                            id: request.id,
-                            worker,
-                            name: spec.name,
-                            checksum,
-                        });
-                    }
-                    Ok(_) => stats.errors += 1,
-                    Err(e) if e.is_pkey_violation() => stats.pkey_faults += 1,
-                    Err(_) => stats.errors += 1,
+                    Ok(Value::Num(checksum)) => Outcome::Response(Response {
+                        id: request.id,
+                        worker: self.worker,
+                        name: spec.name,
+                        checksum,
+                    }),
+                    Ok(_) => Outcome::Error,
+                    Err(e) if e.is_pkey_violation() => Outcome::PkeyFault,
+                    Err(_) => Outcome::Error,
                 }
-            })
-        }
-    };
-    if disposed {
-        if ctx.record_latency {
-            if let Some(enqueued) = request.enqueued {
-                cell.push_latency(incarnation, enqueued.elapsed().as_secs_f64() * 1000.0);
             }
         }
-        ctx.overload.tick();
     }
 }

@@ -393,28 +393,12 @@ impl Browser {
     /// configurations this crosses the compartment boundary (the
     /// `mozjs::eval` gate wrapper).
     pub fn eval_script(&mut self, source: &str) -> Result<Value, BrowserError> {
-        let gated = self.config.gated();
-        if gated {
-            self.machine.gates.enter_untrusted(&mut self.machine.cpu)?;
-        }
-        let result = self.engine.eval(&mut self.machine, source);
-        if gated {
-            self.machine.gates.exit_untrusted(&mut self.machine.cpu)?;
-        }
-        Ok(result?)
+        self.in_untrusted(|engine, machine| engine.eval(machine, source))
     }
 
     /// Calls a global script function (e.g. a benchmark's `run`).
     pub fn call_script(&mut self, name: &str, args: &[Value]) -> Result<Value, BrowserError> {
-        let gated = self.config.gated();
-        if gated {
-            self.machine.gates.enter_untrusted(&mut self.machine.cpu)?;
-        }
-        let result = self.engine.call(&mut self.machine, name, args);
-        if gated {
-            self.machine.gates.exit_untrusted(&mut self.machine.cpu)?;
-        }
-        Ok(result?)
+        self.in_untrusted(|engine, machine| engine.call(machine, name, args))
     }
 
     /// Allocates a probe object at [`Site::FaultProbe`] and reads it back
@@ -434,16 +418,30 @@ impl Browser {
         // Materialize the object under trusted rights, as the shell would
         // when staging data for the engine.
         self.machine.mem_write(addr, 0x5250_4b55)?;
+        self.in_untrusted(|_, machine| machine.mem_read(addr))?;
+        Ok(())
+    }
+
+    /// Runs `f` on the engine and machine, inside the untrusted
+    /// compartment under gated configurations. The exit gate runs
+    /// whatever `f` returns, and a failed exit is reported ahead of `f`'s
+    /// own error.
+    fn in_untrusted<R, E>(
+        &mut self,
+        f: impl FnOnce(&mut Engine, &mut Machine) -> Result<R, E>,
+    ) -> Result<R, BrowserError>
+    where
+        BrowserError: From<E>,
+    {
         let gated = self.config.gated();
         if gated {
             self.machine.gates.enter_untrusted(&mut self.machine.cpu)?;
         }
-        let result = self.machine.mem_read(addr);
+        let result = f(&mut self.engine, &mut self.machine);
         if gated {
             self.machine.gates.exit_untrusted(&mut self.machine.cpu)?;
         }
-        result?;
-        Ok(())
+        Ok(result?)
     }
 
     /// Reads the planted secret (the value Servo "logs on program exit").
