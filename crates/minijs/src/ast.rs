@@ -68,11 +68,50 @@ pub enum AssignOp {
     Compound(BinaryOp),
 }
 
+/// Where a variable lives. The resolver (`resolve.rs`) fills one in for
+/// every variable reference and declaration before the program runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Loc {
+    /// Slot `slot` of the runtime scope `hops` parent links out from the
+    /// current one.
+    Local {
+        /// Scopes to walk out.
+        hops: u32,
+        /// Index into that scope's slots.
+        slot: u32,
+    },
+    /// Slot of the engine's global table.
+    Global(u32),
+}
+
+impl Loc {
+    /// What the parser leaves behind: a global slot that never exists,
+    /// so an unresolved read is a `ReferenceError`, never another
+    /// variable's value.
+    pub(crate) const UNRESOLVED: Loc = Loc::Global(u32::MAX);
+}
+
+/// A variable reference or declaration.
+#[derive(Clone, Debug)]
+pub struct Ident {
+    /// The source name (for error messages and the global table).
+    pub name: Rc<str>,
+    /// Where it lives.
+    pub loc: Loc,
+}
+
+impl Ident {
+    /// An unresolved identifier, as the parser produces it.
+    pub(crate) fn new(name: Rc<str>) -> Ident {
+        Ident { name, loc: Loc::UNRESOLVED }
+    }
+}
+
 /// Assignment targets.
 #[derive(Clone, Debug)]
 pub enum Target {
     /// A variable.
-    Ident(Rc<str>),
+    Ident(Ident),
     /// `obj.prop`, with the site's inline cache.
     Member(Box<Expr>, Rc<str>, PropIc),
     /// `obj[index]`.
@@ -84,10 +123,14 @@ pub enum Target {
 pub struct FuncDef {
     /// The function's name (empty for anonymous expressions).
     pub name: Rc<str>,
-    /// Parameter names.
+    /// Parameter names. A call fills slot `i` with argument `i` and
+    /// slot `params.len()` with `this`.
     pub params: Vec<Rc<str>>,
     /// The body.
     pub body: Vec<Stmt>,
+    /// Slots of a call's scope: parameters, `this`, then the body's
+    /// declarations (set by the resolver).
+    pub frame: u32,
 }
 
 /// Expressions.
@@ -103,10 +146,12 @@ pub enum Expr {
     Null,
     /// `undefined`.
     Undefined,
-    /// `this` (the method receiver).
-    This,
+    /// `this` (the method receiver): the `this` slot of the innermost
+    /// function scope. The resolver turns a top-level `this` into
+    /// [`Expr::Undefined`].
+    This(Loc),
     /// A variable reference.
-    Ident(Rc<str>),
+    Ident(Ident),
     /// `[a, b, c]`.
     ArrayLit(Vec<Expr>),
     /// `{k: v, ...}`; each property definition carries an inline cache
@@ -153,11 +198,16 @@ pub enum Expr {
 /// Statements.
 #[derive(Clone, Debug)]
 pub enum Stmt {
-    /// `var`/`let` declaration list (uniform function scoping in the
-    /// subset).
-    Var(Vec<(Rc<str>, Option<Expr>)>),
-    /// A function declaration.
-    Func(Rc<FuncDef>),
+    /// `var`/`let` declaration list. A declaration belongs to the
+    /// innermost function call, `for` statement or bare `{}` block around
+    /// it (`if`/`while`/`do` bodies share their enclosing scope), or to
+    /// the global table at the top level. A local is hoisted: it reads
+    /// `undefined` from the start of its scope. Executing the statement
+    /// assigns the initializer, or `undefined` when there is none.
+    Var(Vec<(Ident, Option<Expr>)>),
+    /// A function declaration, scoped like `var` and bound to its closure
+    /// when the enclosing statement list is entered.
+    Func(Rc<FuncDef>, Loc),
     /// An expression statement.
     Expr(Expr),
     /// `if`/`else`.
@@ -174,8 +224,10 @@ pub enum Stmt {
         cond: Option<Expr>,
         /// The update expression.
         update: Option<Expr>,
-        /// The body.
-        body: Vec<Stmt>,
+        /// The body (a boxed slice keeps `Stmt` at 144 bytes).
+        body: Box<[Stmt]>,
+        /// Slots of the statement's scope (set by the resolver).
+        frame: u32,
     },
     /// `return [expr]`.
     Return(Option<Expr>),
@@ -183,6 +235,18 @@ pub enum Stmt {
     Break,
     /// `continue`.
     Continue,
-    /// A `{ ... }` block.
-    Block(Vec<Stmt>),
+    /// A `{ ... }` block and the slot count of its scope (set by the
+    /// resolver).
+    Block(Vec<Stmt>, u32),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolved_nodes_keep_their_size() {
+        assert_eq!(std::mem::size_of::<Expr>(), 56);
+        assert!(std::mem::size_of::<Stmt>() <= 144, "{}", std::mem::size_of::<Stmt>());
+    }
 }

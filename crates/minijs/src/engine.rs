@@ -6,10 +6,12 @@ use std::rc::Rc;
 use lir::Machine;
 use pkru_provenance::json::Scalar;
 
+use crate::ast::Stmt;
 use crate::error::EngineError;
 use crate::exec::{Ctx, Env};
 use crate::heap::{Heap, HostClassId};
 use crate::parser::{fmt_f64, parse_program};
+use crate::resolve::{resolve_program, Globals};
 use crate::Value;
 
 /// A native (host) function callable from script.
@@ -98,11 +100,19 @@ impl HostClass {
 /// run against; the machine is passed per call (the embedder owns it), so
 /// the same engine API works for the baseline, alloc-only, and fully gated
 /// configurations.
+///
+/// Each distinct source is parsed and resolved once per engine; every
+/// [`Engine::eval`] of it runs the same resolved program's top level
+/// afresh.
 pub struct Engine {
     heap: Heap,
     natives: Vec<NativeFn>,
     host_classes: Vec<HostClass>,
-    global: Rc<Env>,
+    globals: Globals,
+    /// The resolved program of every distinct source evaluated.
+    scripts: HashMap<Box<str>, Rc<[Stmt]>>,
+    /// The scope around top-level code.
+    root: Rc<Env>,
     fuel: u64,
     rng: u64,
     clock: u64,
@@ -117,7 +127,9 @@ impl Engine {
             heap: Heap::new(),
             natives: Vec::new(),
             host_classes: Vec::new(),
-            global: Env::root(),
+            globals: Globals::default(),
+            scripts: HashMap::new(),
+            root: Env::root(),
             fuel: u64::MAX,
             rng: 0x9E37_79B9_7F4A_7C15,
             clock: 0,
@@ -160,7 +172,7 @@ impl Engine {
     /// Registers a native and binds it as a global function.
     pub fn register_native(&mut self, name: &str, f: NativeFn) -> u32 {
         let handle = self.add_method_native(f);
-        self.global.declare(name.into(), Value::Native(handle));
+        self.globals.set(name, Value::Native(handle));
         handle
     }
 
@@ -201,12 +213,12 @@ impl Engine {
 
     /// Binds a global variable.
     pub fn set_global(&mut self, name: &str, value: Value) {
-        self.global.declare(name.into(), value);
+        self.globals.set(name, value);
     }
 
     /// Reads a global variable.
     pub fn global(&self, name: &str) -> Option<Value> {
-        self.global.get(name)
+        self.globals.get(name)
     }
 
     /// Wraps a raw host structure pointer as a script value.
@@ -215,20 +227,23 @@ impl Engine {
     }
 
     /// Evaluates a script in the global scope (the `JS_Eval` analog).
+    ///
+    /// The first eval of a source parses and resolves it; later evals of
+    /// the same source reuse that program (and its inline caches) but
+    /// still run its top level from the start.
     pub fn eval(&mut self, machine: &mut Machine, source: &str) -> Result<Value, EngineError> {
-        let program = parse_program(source)?;
-        let global = Rc::clone(&self.global);
-        let mut ctx = Ctx::new(
-            machine,
-            &mut self.heap,
-            &self.natives,
-            &self.host_classes,
-            &mut self.fuel,
-            &mut self.rng,
-            &mut self.clock,
-            &mut self.output,
-        );
-        ctx.exec_program(&program, &global)
+        let program = match self.scripts.get(source) {
+            Some(program) => Rc::clone(program),
+            None => {
+                let mut program = parse_program(source)?;
+                resolve_program(&mut program, &mut self.globals);
+                let program: Rc<[Stmt]> = program.into();
+                self.scripts.insert(source.into(), Rc::clone(&program));
+                program
+            }
+        };
+        let root = Rc::clone(&self.root);
+        self.ctx(machine).exec_program(&program, &root)
     }
 
     /// Calls a global function by name (the `JS_CallFunctionName` analog).
@@ -238,8 +253,12 @@ impl Engine {
         name: &str,
         args: &[Value],
     ) -> Result<Value, EngineError> {
-        let f = self.global.get(name).ok_or_else(|| EngineError::Reference(name.to_string()))?;
-        let mut ctx = Ctx::new(
+        let f = self.globals.get(name).ok_or_else(|| EngineError::Reference(name.to_string()))?;
+        self.ctx(machine).call_value(&f, Value::Undefined, args)
+    }
+
+    fn ctx<'a>(&'a mut self, machine: &'a mut Machine) -> Ctx<'a> {
+        Ctx::new(
             machine,
             &mut self.heap,
             &self.natives,
@@ -248,8 +267,8 @@ impl Engine {
             &mut self.rng,
             &mut self.clock,
             &mut self.output,
-        );
-        ctx.call_value(&f, Value::Undefined, args)
+            &mut self.globals.values,
+        )
     }
 
     // ---- standard library ----
@@ -351,7 +370,7 @@ impl Engine {
         )?;
         self.heap.prop_set(machine, math, &"PI".into(), &Value::Num(std::f64::consts::PI))?;
         self.heap.prop_set(machine, math, &"E".into(), &Value::Num(std::f64::consts::E))?;
-        self.global.declare("Math".into(), Value::Obj(math));
+        self.globals.set("Math", Value::Obj(math));
 
         // String.fromCharCode.
         let string_ns = self.heap.new_object();
@@ -369,7 +388,7 @@ impl Engine {
             &"fromCharCode".into(),
             &Value::Native(from_char_code),
         )?;
-        self.global.declare("String".into(), Value::Obj(string_ns));
+        self.globals.set("String", Value::Obj(string_ns));
 
         // Date.now (virtual milliseconds).
         let date_ns = self.heap.new_object();
@@ -377,7 +396,7 @@ impl Engine {
             Ok(Value::Num((*ctx.clock / 1000) as f64))
         }));
         self.heap.prop_set(machine, date_ns, &"now".into(), &Value::Native(now))?;
-        self.global.declare("Date".into(), Value::Obj(date_ns));
+        self.globals.set("Date", Value::Obj(date_ns));
 
         // JSON.
         let json_ns = self.heap.new_object();
@@ -402,7 +421,7 @@ impl Engine {
         }));
         self.heap.prop_set(machine, json_ns, &"stringify".into(), &Value::Native(stringify))?;
         self.heap.prop_set(machine, json_ns, &"parse".into(), &Value::Native(parse))?;
-        self.global.declare("JSON".into(), Value::Obj(json_ns));
+        self.globals.set("JSON", Value::Obj(json_ns));
 
         // Global functions.
         self.register_native(

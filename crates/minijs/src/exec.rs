@@ -1,12 +1,11 @@
 //! The tree-walking evaluator.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use lir::Machine;
 
-use crate::ast::{AssignOp, BinaryOp, Expr, Stmt, Target, UnaryOp};
+use crate::ast::{AssignOp, BinaryOp, Expr, Loc, Stmt, Target, UnaryOp};
 use crate::engine::{HostClass, HostField, HostFieldKind, NativeFn};
 use crate::error::EngineError;
 use crate::heap::{Closure, Heap, ObjKind};
@@ -17,47 +16,34 @@ use crate::{to_int32, to_uint32, Value};
 /// Maximum JS call depth (guards the native stack).
 const MAX_CALL_DEPTH: usize = 128;
 
-/// A lexical scope.
-pub struct Env {
-    vars: RefCell<HashMap<Rc<str>, Value>>,
+/// A runtime scope: the slots the resolver gave one static scope, and
+/// the scope around it. Slots start `undefined`.
+pub(crate) struct Env {
+    slots: RefCell<Box<[Value]>>,
     parent: Option<Rc<Env>>,
 }
 
 impl Env {
-    /// Creates a root scope.
-    pub fn root() -> Rc<Env> {
-        Rc::new(Env { vars: RefCell::new(HashMap::new()), parent: None })
+    /// The scope around top-level code: it holds no slots (top-level
+    /// declarations are globals) and only parents the program's closures,
+    /// `for`s and blocks.
+    pub(crate) fn root() -> Rc<Env> {
+        Rc::new(Env { slots: RefCell::new(Box::new([])), parent: None })
     }
 
-    /// Creates a child scope.
-    pub fn child(parent: &Rc<Env>) -> Rc<Env> {
-        Rc::new(Env { vars: RefCell::new(HashMap::new()), parent: Some(Rc::clone(parent)) })
+    /// A child scope of `size` slots.
+    fn child(parent: &Rc<Env>, size: u32) -> Rc<Env> {
+        let slots = vec![Value::Undefined; size as usize].into_boxed_slice();
+        Rc::new(Env { slots: RefCell::new(slots), parent: Some(Rc::clone(parent)) })
     }
 
-    /// Declares (or overwrites) a binding in this scope.
-    pub fn declare(&self, name: Rc<str>, value: Value) {
-        self.vars.borrow_mut().insert(name, value);
-    }
-
-    /// Reads a binding, walking the scope chain.
-    pub fn get(&self, name: &str) -> Option<Value> {
-        if let Some(v) = self.vars.borrow().get(name) {
-            return Some(v.clone());
+    /// The scope `hops` parent links out.
+    fn up(&self, hops: u32) -> &Env {
+        let mut env = self;
+        for _ in 0..hops {
+            env = env.parent.as_deref().expect("resolved scope chain");
         }
-        self.parent.as_ref()?.get(name)
-    }
-
-    /// Assigns to an existing binding, walking the chain; returns whether
-    /// a binding was found.
-    pub fn set(&self, name: &str, value: Value) -> bool {
-        if let Some(slot) = self.vars.borrow_mut().get_mut(name) {
-            *slot = value;
-            return true;
-        }
-        match &self.parent {
-            Some(p) => p.set(name, value),
-            None => false,
-        }
+        env
     }
 }
 
@@ -89,6 +75,8 @@ pub struct Ctx<'a> {
     pub clock: &'a mut u64,
     /// Lines produced by the `__print` builtin.
     pub output: &'a mut Vec<String>,
+    /// Global slots, indexed by [`Loc::Global`].
+    globals: &'a mut [Option<Value>],
     depth: usize,
 }
 
@@ -104,8 +92,9 @@ impl<'a> Ctx<'a> {
         rng: &'a mut u64,
         clock: &'a mut u64,
         output: &'a mut Vec<String>,
+        globals: &'a mut [Option<Value>],
     ) -> Ctx<'a> {
-        Ctx { machine, heap, natives, host_classes, fuel, rng, clock, output, depth: 0 }
+        Ctx { machine, heap, natives, host_classes, fuel, rng, clock, output, globals, depth: 0 }
     }
 
     fn tick(&mut self) -> Result<(), EngineError> {
@@ -119,8 +108,13 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Runs a list of statements in `env` (function declarations hoisted).
-    pub fn exec_program(&mut self, stmts: &[Stmt], env: &Rc<Env>) -> Result<Value, EngineError> {
+    /// Runs a resolved top-level program in `env` (function declarations
+    /// hoisted).
+    pub(crate) fn exec_program(
+        &mut self,
+        stmts: &[Stmt],
+        env: &Rc<Env>,
+    ) -> Result<Value, EngineError> {
         match self.exec_block(stmts, env)? {
             Flow::Return(v) => Ok(v),
             _ => Ok(Value::Undefined),
@@ -130,10 +124,10 @@ impl<'a> Ctx<'a> {
     fn exec_block(&mut self, stmts: &[Stmt], env: &Rc<Env>) -> Result<Flow, EngineError> {
         // Hoist function declarations so mutual recursion works.
         for stmt in stmts {
-            if let Stmt::Func(def) = stmt {
+            if let Stmt::Func(def, loc) = stmt {
                 let handle =
                     self.heap.add_closure(Closure { def: Rc::clone(def), env: Rc::clone(env) });
-                env.declare(Rc::clone(&def.name), Value::Fun(handle));
+                self.store(*loc, &def.name, env, Value::Fun(handle))?;
             }
         }
         for stmt in stmts {
@@ -149,16 +143,16 @@ impl<'a> Ctx<'a> {
         self.tick()?;
         match stmt {
             Stmt::Var(decls) => {
-                for (name, init) in decls {
+                for (id, init) in decls {
                     let v = match init {
                         Some(e) => self.eval(e, env)?,
                         None => Value::Undefined,
                     };
-                    env.declare(Rc::clone(name), v);
+                    self.store(id.loc, &id.name, env, v)?;
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::Func(_) => Ok(Flow::Normal), // Hoisted.
+            Stmt::Func(..) => Ok(Flow::Normal), // Hoisted.
             Stmt::Expr(e) => {
                 self.eval(e, env)?;
                 Ok(Flow::Normal)
@@ -193,8 +187,8 @@ impl<'a> Ctx<'a> {
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::For { init, cond, update, body } => {
-                let scope = Env::child(env);
+            Stmt::For { init, cond, update, body, frame } => {
+                let scope = Env::child(env, *frame);
                 if let Some(init) = init {
                     self.exec_stmt(init, &scope)?;
                 }
@@ -224,15 +218,15 @@ impl<'a> Ctx<'a> {
             }
             Stmt::Break => Ok(Flow::Break),
             Stmt::Continue => Ok(Flow::Continue),
-            Stmt::Block(body) => {
-                let scope = Env::child(env);
+            Stmt::Block(body, frame) => {
+                let scope = Env::child(env, *frame);
                 self.exec_block(body, &scope)
             }
         }
     }
 
-    /// Evaluates an expression.
-    pub fn eval(&mut self, expr: &Expr, env: &Rc<Env>) -> Result<Value, EngineError> {
+    /// Evaluates a resolved expression.
+    pub(crate) fn eval(&mut self, expr: &Expr, env: &Rc<Env>) -> Result<Value, EngineError> {
         self.tick()?;
         match expr {
             Expr::Num(n) => Ok(Value::Num(*n)),
@@ -240,10 +234,8 @@ impl<'a> Ctx<'a> {
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Null => Ok(Value::Null),
             Expr::Undefined => Ok(Value::Undefined),
-            Expr::This => Ok(env.get("this").unwrap_or(Value::Undefined)),
-            Expr::Ident(name) => {
-                env.get(name).ok_or_else(|| EngineError::Reference(name.to_string()))
-            }
+            Expr::This(loc) => self.load(*loc, "this", env),
+            Expr::Ident(id) => self.load(id.loc, &id.name, env),
             Expr::ArrayLit(items) => {
                 let mut vals = Vec::with_capacity(items.len());
                 for item in items {
@@ -380,14 +372,15 @@ impl<'a> Ctx<'a> {
         match callee {
             Value::Fun(handle) => {
                 let closure = self.heap.closure(*handle)?.clone();
-                let scope = Env::child(&closure.env);
-                for (i, param) in closure.def.params.iter().enumerate() {
-                    scope.declare(
-                        Rc::clone(param),
-                        args.get(i).cloned().unwrap_or(Value::Undefined),
-                    );
+                let params = closure.def.params.len();
+                let scope = Env::child(&closure.env, closure.def.frame);
+                {
+                    let mut slots = scope.slots.borrow_mut();
+                    for (slot, arg) in slots[..params].iter_mut().zip(args) {
+                        *slot = arg.clone();
+                    }
+                    slots[params] = this;
                 }
-                scope.declare("this".into(), this);
                 self.depth += 1;
                 let result = self.exec_block(&closure.def.body, &scope);
                 self.depth -= 1;
@@ -522,9 +515,7 @@ impl<'a> Ctx<'a> {
 
     fn read_target(&mut self, target: &Target, env: &Rc<Env>) -> Result<Value, EngineError> {
         match target {
-            Target::Ident(name) => {
-                env.get(name).ok_or_else(|| EngineError::Reference(name.to_string()))
-            }
+            Target::Ident(id) => self.load(id.loc, &id.name, env),
             Target::Member(obj, name, ic) => {
                 let receiver = self.eval(obj, env)?;
                 self.member_get(&receiver, name, Some(ic))
@@ -544,17 +535,7 @@ impl<'a> Ctx<'a> {
         value: &Value,
     ) -> Result<(), EngineError> {
         match target {
-            Target::Ident(name) => {
-                if !env.set(name, value.clone()) {
-                    // Implicit global, as in sloppy-mode JS.
-                    let mut root = env;
-                    while let Some(p) = &root.parent {
-                        root = p;
-                    }
-                    root.declare(Rc::clone(name), value.clone());
-                }
-                Ok(())
-            }
+            Target::Ident(id) => self.store(id.loc, &id.name, env, value.clone()),
             Target::Member(obj, name, ic) => {
                 let receiver = self.eval(obj, env)?;
                 self.member_set(&receiver, name, value, Some(ic))
@@ -565,6 +546,34 @@ impl<'a> Ctx<'a> {
                 self.index_set(&receiver, &index, value)
             }
         }
+    }
+
+    // ---- variables ----
+
+    /// Reads the variable at `loc`; an undeclared global is a
+    /// `ReferenceError` naming `name`.
+    fn load(&self, loc: Loc, name: &str, env: &Env) -> Result<Value, EngineError> {
+        match loc {
+            Loc::Local { hops, slot } => Ok(env.up(hops).slots.borrow()[slot as usize].clone()),
+            Loc::Global(slot) => self
+                .globals
+                .get(slot as usize)
+                .and_then(Option::clone)
+                .ok_or_else(|| EngineError::Reference(name.to_string())),
+        }
+    }
+
+    /// Writes the variable at `loc`. Writing an undeclared global
+    /// declares it: the implicit global of sloppy-mode JS.
+    fn store(&mut self, loc: Loc, name: &str, env: &Env, value: Value) -> Result<(), EngineError> {
+        match loc {
+            Loc::Local { hops, slot } => env.up(hops).slots.borrow_mut()[slot as usize] = value,
+            Loc::Global(slot) => match self.globals.get_mut(slot as usize) {
+                Some(global) => *global = Some(value),
+                None => return Err(EngineError::Reference(name.to_string())),
+            },
+        }
+        Ok(())
     }
 
     // ---- host classes (direct cross-compartment field access) ----

@@ -51,7 +51,7 @@ pub struct Closure {
     /// The function definition.
     pub def: Rc<FuncDef>,
     /// The captured scope chain.
-    pub env: Rc<Env>,
+    pub(crate) env: Rc<Env>,
 }
 
 /// Engine-internal object record.

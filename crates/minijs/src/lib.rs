@@ -9,6 +9,10 @@
 //!   large enough to run the benchmark kernels (closures, objects, arrays,
 //!   strings, bitwise/`ToInt32` semantics, `Math`/`JSON`/`String`
 //!   builtins);
+//! - a resolver that fixes every variable to a `(hops, slot)` in its
+//!   scope's slot vector, or to a slot of the engine's global table,
+//!   before the program runs; each distinct source is parsed and resolved
+//!   once per engine and re-run by every later eval;
 //! - engine heap data (array elements, object property slots) lives in the
 //!   simulated untrusted pool `M_U`, NaN-boxed, and **every** element
 //!   access is rights-checked against the thread's PKRU — so when the
@@ -37,6 +41,7 @@ mod ic;
 mod lexer;
 mod nanbox;
 mod parser;
+mod resolve;
 
 pub use ast::{Expr, FuncDef, Stmt};
 pub use engine::{Engine, HostClass, HostElements, HostField, HostFieldKind, NativeFn};

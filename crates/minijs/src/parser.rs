@@ -2,12 +2,13 @@
 
 use std::rc::Rc;
 
-use crate::ast::{AssignOp, BinaryOp, Expr, FuncDef, Stmt, Target, UnaryOp};
+use crate::ast::{AssignOp, BinaryOp, Expr, FuncDef, Ident, Loc, Stmt, Target, UnaryOp};
 use crate::error::EngineError;
 use crate::ic::PropIc;
 use crate::lexer::{lex, SpannedTok, Tok};
 
-/// Parses a whole program.
+/// Parses a whole program. Variables come out unresolved; the engine
+/// resolves them (`resolve.rs`) before anything runs.
 pub fn parse_program(source: &str) -> Result<Vec<Stmt>, EngineError> {
     let toks = lex(source)?;
     let mut p = Parser { toks, pos: 0 };
@@ -99,7 +100,7 @@ impl Parser {
                 self.advance();
                 let name = self.ident()?;
                 let def = self.func_tail(name)?;
-                Ok(Stmt::Func(Rc::new(def)))
+                Ok(Stmt::Func(Rc::new(def), Loc::UNRESOLVED))
             }
             Tok::Keyword("if") => {
                 self.advance();
@@ -149,7 +150,8 @@ impl Parser {
                 let update =
                     if matches!(self.peek(), Tok::Punct(")")) { None } else { Some(self.expr()?) };
                 self.expect_punct(")")?;
-                Ok(Stmt::For { init, cond, update, body: self.stmt_or_block()? })
+                let body = self.stmt_or_block()?.into_boxed_slice();
+                Ok(Stmt::For { init, cond, update, body, frame: 0 })
             }
             Tok::Keyword("return") => {
                 self.advance();
@@ -180,7 +182,7 @@ impl Parser {
                     }
                     body.push(self.stmt()?);
                 }
-                Ok(Stmt::Block(body))
+                Ok(Stmt::Block(body, 0))
             }
             _ => {
                 let e = self.expr()?;
@@ -197,7 +199,7 @@ impl Parser {
         loop {
             let name = self.ident()?;
             let init = if self.eat_punct("=") { Some(self.assign_expr()?) } else { None };
-            decls.push((name, init));
+            decls.push((Ident::new(name), init));
             if !self.eat_punct(",") {
                 break;
             }
@@ -208,7 +210,7 @@ impl Parser {
     fn stmt_or_block(&mut self) -> Result<Vec<Stmt>, EngineError> {
         if matches!(self.peek(), Tok::Punct("{")) {
             match self.stmt()? {
-                Stmt::Block(body) => Ok(body),
+                Stmt::Block(body, _) => Ok(body),
                 // `stmt` returns exactly a block for `{`.
                 _ => unreachable!("block statement expected"),
             }
@@ -237,7 +239,7 @@ impl Parser {
             }
             body.push(self.stmt()?);
         }
-        Ok(FuncDef { name, params, body })
+        Ok(FuncDef { name, params, body, frame: 0 })
     }
 
     // ---- expressions (precedence climbing) ----
@@ -271,7 +273,7 @@ impl Parser {
 
     fn as_target(&self, e: Expr) -> Result<Target, EngineError> {
         match e {
-            Expr::Ident(name) => Ok(Target::Ident(name)),
+            Expr::Ident(id) => Ok(Target::Ident(id)),
             Expr::Member(obj, name, ic) => Ok(Target::Member(obj, name, ic)),
             Expr::Index(obj, idx) => Ok(Target::Index(obj, idx)),
             _ => self.error("invalid assignment target"),
@@ -407,7 +409,7 @@ impl Parser {
             Tok::Keyword("false") => Ok(Expr::Bool(false)),
             Tok::Keyword("null") => Ok(Expr::Null),
             Tok::Keyword("undefined") => Ok(Expr::Undefined),
-            Tok::Keyword("this") => Ok(Expr::This),
+            Tok::Keyword("this") => Ok(Expr::This(Loc::UNRESOLVED)),
             Tok::Keyword("new") => {
                 // `new F(args)` is constructor-as-factory in the subset.
                 self.postfix()
@@ -419,7 +421,7 @@ impl Parser {
                 };
                 Ok(Expr::Function(Rc::new(self.func_tail(name)?)))
             }
-            Tok::Ident(name) => Ok(Expr::Ident(name)),
+            Tok::Ident(name) => Ok(Expr::Ident(Ident::new(name))),
             Tok::Punct("(") => {
                 let e = self.expr()?;
                 self.expect_punct(")")?;

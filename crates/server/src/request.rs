@@ -55,7 +55,8 @@ pub struct Response {
 pub struct ScriptSpec {
     /// Stable name used in responses and reference tables.
     pub name: &'static str,
-    /// The program: evaluated fresh per request, must define `run()`.
+    /// The program; must define `run()`. A worker's engine parses it once
+    /// and runs its top level afresh on every request.
     pub source: String,
 }
 
